@@ -226,7 +226,7 @@ def measure_sweep(inputs: dict, seconds: float, workdir: str, between_rounds) ->
     long_calls = 0
     long_points = 0
     long_seconds = 0.0
-    latencies = array("d")
+    rounds = RoundLatencies(95)
     for throughput_end, round_end in _rounds(seconds, between_rounds):
         while True:
             config, path = long[long_calls % len(long)]
@@ -239,6 +239,7 @@ def measure_sweep(inputs: dict, seconds: float, workdir: str, between_rounds) ->
             tally.record(code == 0 and check_sweep_csv(out, config, LONG_ROWS_CHECKED, rng))
             if time.perf_counter() + elapsed > throughput_end:
                 break
+        latencies = array("d")
         _latency_loop(
             short,
             round_end,
@@ -247,16 +248,16 @@ def measure_sweep(inputs: dict, seconds: float, workdir: str, between_rounds) ->
             latencies,
             tally,
         )
+        rounds.add(latencies)
     tally.record(golden_matches("sweep", "sweep_epr.json", "sweep_epr.golden.csv", out))
-    values = {
-        "rate_per_s": long_points / long_seconds,
-        "call_p50_ms": statistics.median(latencies) * 1e3,
-        "call_tail_ms": percentile(latencies, 95) * 1e3,
-    }
+    values = {"rate_per_s": long_points / long_seconds, **rounds.values()}
     notes = {
         "rate_per_s": f"grid points/s over {long_calls} sweeps of {grid_points(long[0][0])} points",
-        "call_p50_ms": f"ms per {grid_points(short[0][0])}-point sweep call, {len(latencies)} calls",
-        "call_tail_ms": "p95 of the same calls",
+        "call_p50_ms": (
+            f"ms per {grid_points(short[0][0])}-point sweep call, mean over rounds of each round's p50, "
+            f"{rounds.calls} calls"
+        ),
+        "call_tail_ms": "mean over rounds of each round's p95",
     }
     return values, notes, tally
 
@@ -288,10 +289,14 @@ def _latency_loop(items, deadline: float, run, check, latencies: array, tally: T
 
 
 class RoundLatencies:
-    """Latency median and tail of each round; a run reports the median over rounds.
+    """Latency median and tail of each round; a run reports the mean over rounds.
 
-    A slow spell of the host inside one round then moves one of the seven
-    values instead of the run's pooled tail.
+    A slow spell inside one round moves that round's p50 only as far as it
+    fills the round.  The shared host switches between a fast and a slow
+    state for seconds at a time; a median, pooled or over rounds, jumps
+    from one state to the other when a run spends about half its time in
+    each, while the mean over rounds moves with the share of time spent
+    slow, as the throughput rates do.
     """
 
     def __init__(self, tail_pct: int) -> None:
@@ -307,8 +312,8 @@ class RoundLatencies:
 
     def values(self) -> dict[str, float]:
         return {
-            "call_p50_ms": statistics.median(self.p50) * 1e3,
-            "call_tail_ms": statistics.median(self.tail) * 1e3,
+            "call_p50_ms": statistics.fmean(self.p50) * 1e3,
+            "call_tail_ms": statistics.fmean(self.tail) * 1e3,
         }
 
 
@@ -474,7 +479,7 @@ def measure_points(specs: list[PointSpec], seconds: float, workdir: str, between
     """Closed loop of single-point operations.
 
     Hundreds of thousands of operations per run: each round reduces its
-    own latencies and the run reports the median over rounds, so memory
+    own latencies and the run reports the mean over rounds, so memory
     does not grow with the host's speed.
     """
     tally = Tally()
@@ -500,8 +505,8 @@ def measure_points(specs: list[PointSpec], seconds: float, workdir: str, between
     values = {"rate_per_s": rounds.calls / busy_seconds, **rounds.values()}
     notes = {
         "rate_per_s": f"single-point operations/s over {rounds.calls} operations",
-        "call_p50_ms": "ms per operation, median over rounds of each round's p50",
-        "call_tail_ms": "median over rounds of each round's p99",
+        "call_p50_ms": "ms per operation, mean over rounds of each round's p50",
+        "call_tail_ms": "mean over rounds of each round's p99",
     }
     return values, notes, tally
 
@@ -576,10 +581,10 @@ def measure_mc(inputs: dict, seconds: float, workdir: str, between_rounds) -> Me
             f"(--workers 2: {LONG_SHOTS * len(w2) / sum(w2):.4g} shots/s)"
         ),
         "call_p50_ms": (
-            f"ms per {SHORT_SHOTS}-shot mc call, median over rounds of each round's p50, "
+            f"ms per {SHORT_SHOTS}-shot mc call, mean over rounds of each round's p50, "
             f"{rounds.calls} calls"
         ),
-        "call_tail_ms": "median over rounds of each round's p95",
+        "call_tail_ms": "mean over rounds of each round's p95",
     }
     return values, notes, tally
 
