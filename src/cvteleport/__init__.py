@@ -15,7 +15,6 @@ from .criteria import (
     classical_bound_check,
     classify,
     conditional_variance,
-    correlation,
     field_conditional_variance,
     field_correlation,
     signal_transfer,
@@ -76,7 +75,6 @@ __all__ = [
     "classical_bound_check",
     "classify",
     "conditional_variance",
-    "correlation",
     "field_conditional_variance",
     "field_correlation",
     "in_out_covariance",

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from typing import Any
 
-from .criteria import classical_bound_check, classify
+from .criteria import CRITERIA, classical_bound_check, classify
 from .montecarlo import sample_criteria
 from .predictions import BellParams, bell_s, symmetric_output_variance
 from .quadrature import InputState, in_out_covariance, output_variance
@@ -82,37 +84,72 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
+# (flag attribute, dotted config field) for every flag that overrides the config.
+_FLAG_FIELDS = (
+    ("family", "family"),
+    ("lam", "lambda"),
+    ("resource", "resource"),
+    ("vin_plus", "input.v_plus"),
+    ("vin_minus", "input.v_minus"),
+    ("shots", "mc.shots"),
+    ("seed", "mc.seed"),
+    ("out", "out"),
+)
+
+
 def _merge(config: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
     """Overlay command-line flags on the config file contents."""
     merged = dict(config)
-    merged.setdefault("input", {})
-    merged.setdefault("mc", {})
-    if args.family is not None:
-        merged["family"] = args.family
-    if args.lam is not None:
-        merged["lambda"] = args.lam
-    if args.resource is not None:
-        merged["resource"] = args.resource
-    if args.vin_plus is not None:
-        merged["input"] = {**merged["input"], "v_plus": args.vin_plus}
-    if args.vin_minus is not None:
-        merged["input"] = {**merged["input"], "v_minus": args.vin_minus}
-    if args.shots is not None:
-        merged["mc"] = {**merged["mc"], "shots": args.shots}
-    if args.seed is not None:
-        merged["mc"] = {**merged["mc"], "seed": args.seed}
-    if args.out is not None:
-        merged["out"] = args.out
+    for attr, field in _FLAG_FIELDS:
+        value = getattr(args, attr, None)
+        if value is None:
+            continue
+        section, _, key = field.rpartition(".")
+        if section:
+            base = merged.get(section)
+            if base is not None and not isinstance(base, dict):
+                raise ConfigError(f"{section} must be an object, got {base!r}")
+            merged[section] = {**(base or {}), key: value}
+        else:
+            merged[key] = value
     return merged
 
 
-def _require(config: dict[str, Any], field: str) -> Any:
+_REQUIRED = object()
+
+
+def _lookup(config: dict[str, Any], field: str) -> Any:
+    """Raw value at dotted ``field``, None if missing or null; a non-object section raises."""
     node: Any = config
+    path: list[str] = []
     for part in field.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"missing required field: {field}")
-        node = node[part]
+        if not isinstance(node, dict):
+            raise ConfigError(f"{'.'.join(path)} must be an object, got {node!r}")
+        path.append(part)
+        node = node.get(part)
+        if node is None:
+            return None
     return node
+
+
+def _value(config: dict[str, Any], field: str, kind: type = float, default: Any = _REQUIRED) -> Any:
+    """The value at dotted ``field`` converted by ``kind``, or ``default``.
+
+    A missing or null value without a default, or one ``kind`` cannot
+    convert, raises ConfigError; floats must be finite.
+    """
+    node = _lookup(config, field)
+    if node is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field: {field}")
+        return default
+    try:
+        value = kind(node)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field} must be of type {kind.__name__}, got {node!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{field} must be finite, got {node!r}")
+    return value
 
 
 def _check_gain(gain: float) -> float:
@@ -122,39 +159,34 @@ def _check_gain(gain: float) -> float:
 
 
 def _input_state(config: dict[str, Any]) -> InputState:
-    section = config.get("input", {})
-    try:
-        return InputState(
-            v_plus=float(section.get("v_plus", 1.0)),
-            v_minus=float(section.get("v_minus", 1.0)),
-            s_plus=float(section.get("s_plus", 0.0)),
-            s_minus=float(section.get("s_minus", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return InputState(
+        v_plus=_value(config, "input.v_plus", float, 1.0),
+        v_minus=_value(config, "input.v_minus", float, 1.0),
+        s_plus=_value(config, "input.s_plus", float, 0.0),
+        s_minus=_value(config, "input.s_minus", float, 0.0),
+    )
 
 
 def _teleporter(family: str, gain: float, resource: float | None) -> Teleporter:
-    try:
-        if family == Family.EPR.value:
-            if resource is None:
-                raise ConfigError("missing required field: resource")
-            return make_epr(gain, resource)
-        if family == Family.SINGLE_MODE.value:
-            if resource is None:
-                raise ConfigError("missing required field: resource")
-            return make_single_mode(gain, resource)
-        if family == Family.CLASSICAL.value:
-            return make_classical_measure_resend(gain)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown family: {family}")
+    """Built-in teleporter; the classical family ignores ``resource``."""
+    if family == Family.CLASSICAL.value:
+        return make_classical_measure_resend(gain)
+    make = {Family.EPR.value: make_epr, Family.SINGLE_MODE.value: make_single_mode}.get(family)
+    if make is None:
+        raise ConfigError(f"unknown family: {family}")
+    if resource is None:
+        raise ConfigError("missing required field: resource")
+    return make(gain, resource)
 
 
-def _grid(section: dict[str, Any], field: str) -> list[float]:
-    lo = float(_require(section, "min"))
-    hi = float(_require(section, "max"))
-    steps = int(_require(section, "steps"))
+def _grid(config: dict[str, Any], field: str, default: tuple | None = None) -> list[float]:
+    """The (min, max, steps) grid at dotted ``field``; ``default`` if it is missing."""
+    if default is not None and _lookup(config, field) is None:
+        lo, hi, steps = default
+    else:
+        lo = _value(config, f"{field}.min")
+        hi = _value(config, f"{field}.max")
+        steps = _value(config, f"{field}.steps", int)
     if steps < 1:
         raise ConfigError(f"{field}.steps must be >= 1, got {steps}")
     if lo > hi:
@@ -163,6 +195,9 @@ def _grid(section: dict[str, Any], field: str) -> list[float]:
         return [lo]
     # Endpoints land exactly on min and max.
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
+
+
+_V_CVF_GRID = (0.1, 2.0, 20)
 
 
 def _fmt(value: float) -> str:
@@ -180,14 +215,12 @@ def _emit(text: str, out_path: str | None) -> None:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
-def _report_payload(config: dict[str, Any]) -> dict[str, Any]:
-    family = str(_require(config, "family"))
-    gain = _check_gain(float(_require(config, "lambda")))
-    resource = config.get("resource")
-    resource = None if resource is None else float(resource)
+def _cmd_report(config: dict[str, Any], args: argparse.Namespace) -> int:
+    family = _value(config, "family", str)
+    gain = _check_gain(_value(config, "lambda"))
+    resource = _value(config, "resource", float, None)
     teleporter = _teleporter(family, gain, resource)
     state = _input_state(config)
-    report = classify(teleporter, state)
     try:
         bound = classical_bound_check(teleporter)
         bound_payload: dict[str, Any] | None = {
@@ -195,74 +228,39 @@ def _report_payload(config: dict[str, Any]) -> dict[str, Any]:
             "satisfied": bound.satisfied,
         }
     except ValueError:
-        bound_payload = None  # zero gain: bound undefined
-    return {
+        bound_payload = None  # zero gain or non-finite product: bound undefined
+    payload = {
         "family": family,
         "lambda": gain,
         "resource": resource,
         "input": {"v_plus": state.v_plus, "v_minus": state.v_minus},
-        "criteria": {
-            "ts_plus": report.ts_plus,
-            "ts_minus": report.ts_minus,
-            "t_t": report.t_t,
-            "c_plus": report.c_plus,
-            "c_minus": report.c_minus,
-            "vcv_plus": report.vcv_plus,
-            "vcv_minus": report.vcv_minus,
-            "v_t": report.v_t,
-            "c_f": report.c_f,
-            "v_cvf": report.v_cvf,
-            "region": report.region.value,
-            "both_violated": report.both_violated,
-            "input_minimum_uncertainty": report.input_minimum_uncertainty,
-        },
+        "criteria": asdict(classify(teleporter, state)),
         "classical_bound": bound_payload,
     }
-
-
-def _cmd_report(config: dict[str, Any], args: argparse.Namespace) -> int:
-    payload = _report_payload(config)
-    _emit(json.dumps(payload, indent=2) + "\n", config.get("out"))
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", _value(config, "out", str, None))
     return 0
 
 
-SWEEP_HEADER = "lambda,resource,ts_plus,ts_minus,t_t,vcv_plus,vcv_minus,v_t,c_f,v_cvf,region"
+SWEEP_HEADER = ",".join(("lambda", "resource", *CRITERIA, "region"))
 
 
 def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:
-    family = str(_require(config, "family"))
-    out_path = str(_require(config, "out"))
-    sweep = _require(config, "sweep")
-    lambda_grid = [_check_gain(g) for g in _grid(_require(sweep, "lambda"), "sweep.lambda")]
+    family = _value(config, "family", str)
+    out_path = _value(config, "out", str)
+    lambda_grid = [_check_gain(g) for g in _grid(config, "sweep.lambda")]
     if family == Family.CLASSICAL.value:
         # No resource parameter; record the equivalent no-entanglement level.
-        resource_grid = _grid(sweep.get("resource", {"min": 1.0, "max": 1.0, "steps": 1}), "sweep.resource")
+        resource_grid = _grid(config, "sweep.resource", (1.0, 1.0, 1))
     else:
-        resource_grid = _grid(_require(sweep, "resource"), "sweep.resource")
+        resource_grid = _grid(config, "sweep.resource")
     state = _input_state(config)
 
     lines = [SWEEP_HEADER]
     for gain in lambda_grid:
         for resource in resource_grid:
-            teleporter = _teleporter(family, gain, resource if family != Family.CLASSICAL.value else None)
-            report = classify(teleporter, state)
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(gain),
-                        _fmt(resource),
-                        _fmt(report.ts_plus),
-                        _fmt(report.ts_minus),
-                        _fmt(report.t_t),
-                        _fmt(report.vcv_plus),
-                        _fmt(report.vcv_minus),
-                        _fmt(report.v_t),
-                        _fmt(report.c_f),
-                        _fmt(report.v_cvf),
-                        report.region.value,
-                    ]
-                )
-            )
+            report = classify(_teleporter(family, gain, resource), state)
+            values = [gain, resource, *(getattr(report, name) for name in CRITERIA)]
+            lines.append(",".join([*map(_fmt, values), report.region.value]))
     _emit("\n".join(lines) + "\n", out_path)
     return 0
 
@@ -270,43 +268,25 @@ def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:
 MC_HEADER = "quantity,analytic,estimate,std_error,z_score,status"
 
 
-def _analytic_quantities(teleporter: Teleporter, state: InputState) -> dict[str, float]:
-    report = classify(teleporter, state)
-    return {
-        "ts_plus": report.ts_plus,
-        "ts_minus": report.ts_minus,
-        "t_t": report.t_t,
-        "vcv_plus": report.vcv_plus,
-        "vcv_minus": report.vcv_minus,
-        "v_t": report.v_t,
-        "c_f": report.c_f,
-        "v_cvf": report.v_cvf,
-        "v_out_plus": output_variance(teleporter.plus, state.v_plus),
-        "v_out_minus": output_variance(teleporter.minus, state.v_minus),
-        "cov_plus": in_out_covariance(teleporter.plus, state.v_plus),
-        "cov_minus": in_out_covariance(teleporter.minus, state.v_minus),
-    }
-
-
 def _cmd_mc(config: dict[str, Any], args: argparse.Namespace) -> int:
-    family = str(_require(config, "family"))
-    gain = _check_gain(float(_require(config, "lambda")))
-    resource = config.get("resource")
-    resource = None if resource is None else float(resource)
-    teleporter = _teleporter(family, gain, resource)
+    family = _value(config, "family", str)
+    gain = _check_gain(_value(config, "lambda"))
+    teleporter = _teleporter(family, gain, _value(config, "resource", float, None))
     state = _input_state(config)
-    mc = config.get("mc", {})
-    shots = int(mc.get("shots", 100_000))
-    seed = int(mc.get("seed", 0))
-    workers = int(getattr(args, "workers", 1) or mc.get("workers", 1))
+    shots = _value(config, "mc.shots", int, 100_000)
+    seed = _value(config, "mc.seed", int, 0)
 
-    analytic = _analytic_quantities(teleporter, state)
-    if getattr(args, "corrupt_analytic", False):
+    report = classify(teleporter, state)
+    analytic = {name: getattr(report, name) for name in CRITERIA}
+    analytic.update(
+        v_out_plus=output_variance(teleporter.plus, state.v_plus),
+        v_out_minus=output_variance(teleporter.minus, state.v_minus),
+        cov_plus=in_out_covariance(teleporter.plus, state.v_plus),
+        cov_minus=in_out_covariance(teleporter.minus, state.v_minus),
+    )
+    if args.corrupt_analytic:
         analytic["ts_plus"] += 0.1  # self-check hook: must trip the 5-sigma gate
-    try:
-        stats = sample_criteria(teleporter, state, shots, seed, workers=workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    stats = sample_criteria(teleporter, state, shots, seed, workers=args.workers)
 
     lines = [MC_HEADER]
     all_pass = True
@@ -320,22 +300,13 @@ def _cmd_mc(config: dict[str, Any], args: argparse.Namespace) -> int:
             z = diff / estimate.std_error
         ok = diff <= 5.0 * estimate.std_error
         all_pass = all_pass and ok
-        lines.append(
-            ",".join(
-                [
-                    name,
-                    _fmt(analytic[name]),
-                    _fmt(estimate.value),
-                    _fmt(estimate.std_error),
-                    _fmt(z),
-                    "PASS" if ok else "FAIL",
-                ]
-            )
-        )
+        row = map(_fmt, (analytic[name], estimate.value, estimate.std_error, z))
+        lines.append(",".join([name, *row, "PASS" if ok else "FAIL"]))
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if config.get("out"):
-        _emit(text, config["out"])
+    out_path = _value(config, "out", str, None)
+    if out_path:
+        _emit(text, out_path)
     n_pass = sum(1 for line in lines[1:] if line.endswith(",PASS"))
     print(f"mc verification: {n_pass}/{len(lines) - 1} PASS", file=sys.stderr)
     return 0 if all_pass else 2
@@ -345,10 +316,9 @@ BELL_HEADER = "v_cvf,lambda,s_i,s"
 
 
 def _cmd_bell(config: dict[str, Any], args: argparse.Namespace) -> int:
-    gain = _check_gain(float(_require(config, "lambda")))
-    section = config.get("bell", {})
-    s_i = float(section.get("s_i", 1.5))
-    grid = _grid(section.get("v_cvf", {"min": 0.1, "max": 2.0, "steps": 20}), "bell.v_cvf")
+    gain = _check_gain(_value(config, "lambda"))
+    s_i = _value(config, "bell.s_i", float, 1.5)
+    grid = _grid(config, "bell.v_cvf", _V_CVF_GRID)
     lines = [BELL_HEADER]
     for v_cvf in grid:
         try:
@@ -356,7 +326,7 @@ def _cmd_bell(config: dict[str, Any], args: argparse.Namespace) -> int:
         except ValueError:
             s_value = "error"  # degenerate denominator marker
         lines.append(",".join([_fmt(v_cvf), _fmt(gain), _fmt(s_i), s_value]))
-    _emit("\n".join(lines) + "\n", config.get("out"))
+    _emit("\n".join(lines) + "\n", _value(config, "out", str, None))
     return 0
 
 
@@ -364,10 +334,9 @@ SQUEEZE_HEADER = "v_cvf,lambda,v_in_plus,v_out_plus,squeezed"
 
 
 def _cmd_squeeze(config: dict[str, Any], args: argparse.Namespace) -> int:
-    gain = _check_gain(float(_require(config, "lambda")))
+    gain = _check_gain(_value(config, "lambda"))
     state = _input_state(config)
-    section = config.get("squeeze", {})
-    grid = _grid(section.get("v_cvf", {"min": 0.1, "max": 2.0, "steps": 20}), "squeeze.v_cvf")
+    grid = _grid(config, "squeeze.v_cvf", _V_CVF_GRID)
     lines = [SQUEEZE_HEADER]
     for v_cvf in grid:
         v_out = symmetric_output_variance(v_cvf, gain, state.v_plus)
@@ -375,7 +344,7 @@ def _cmd_squeeze(config: dict[str, Any], args: argparse.Namespace) -> int:
         lines.append(
             ",".join([_fmt(v_cvf), _fmt(gain), _fmt(state.v_plus), _fmt(v_out), squeezed])
         )
-    _emit("\n".join(lines) + "\n", config.get("out"))
+    _emit("\n".join(lines) + "\n", _value(config, "out", str, None))
     return 0
 
 
@@ -394,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _merge(_load_config(args.config), args)
         return _COMMANDS[args.command](config, args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # ValueError: a library entry point rejected the configured values.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,9 +6,9 @@ combined:
 * signal transfer T_s = SNR_out / SNR_in for a small classical test signal,
   which for these models equals the squared input-output correlation C; the
   quadrature sum T_t = T_s+ + T_s- cannot exceed 1 without entanglement,
-* conditional variance V_cv = V_out * (1 - C), the residual output noise
-  given the input record; the average V_t = (V_cv+ + V_cv-) / 2 cannot fall
-  below 1 without entanglement.
+* conditional variance V_cv = V_out * (1 - C), with C = T_s, the residual
+  output noise given the input record; the average
+  V_t = (V_cv+ + V_cv-) / 2 cannot fall below 1 without entanglement.
 
 On top of the per-quadrature quantities the module builds the field
 correlation C_f and field conditional variance V_cvf, which quantify how
@@ -36,9 +36,13 @@ from .quadrature import (
 )
 from .teleporter import Teleporter
 
-# Agreement tolerance between algebraically equivalent computation routes;
-# also the snap width for region boundaries, which classify upward.
-DUAL_ROUTE_TOL = 1e-12
+# Snap width for region boundaries, which classify upward, and guard band
+# of the classical bounds.
+BOUNDARY_TOL = 1e-12
+
+# The criteria reported both in a sweep row and in the Monte Carlo table,
+# in column order.
+CRITERIA = ("ts_plus", "ts_minus", "t_t", "vcv_plus", "vcv_minus", "v_t", "c_f", "v_cvf")
 
 
 class Region(str, Enum):
@@ -79,54 +83,34 @@ class CriteriaReport:
     input_minimum_uncertainty: bool
 
 
+def _transfer(qmap: QuadratureMap, v_in: float) -> tuple[float, float]:
+    """(T_s, V_out) for one quadrature, sharing one added-noise sum."""
+    if not v_in > 0:
+        raise ValueError(f"input variance must be > 0, got {v_in}")
+    signal_power = qmap.gain * qmap.gain * v_in
+    v_out = signal_power + added_noise_variance(qmap)
+    if v_out == 0.0:
+        raise ValueError("signal transfer undefined: zero gain and zero added noise")
+    return signal_power / v_out, v_out
+
+
 def signal_transfer(qmap: QuadratureMap, v_in: float) -> float:
     """Signal transfer coefficient gain**2 v_in / (gain**2 v_in + N).
 
     Zero-gain maps transfer no signal (returns 0 when noise is present);
     a map with zero gain and zero noise has no defined SNR and is rejected.
     """
-    if not v_in > 0:
-        raise ValueError(f"input variance must be > 0, got {v_in}")
-    signal_power = qmap.gain * qmap.gain * v_in
-    noise = added_noise_variance(qmap)
-    if signal_power == 0.0 and noise == 0.0:
-        raise ValueError(
-            "signal transfer undefined: zero gain and zero added noise"
-        )
-    if signal_power == 0.0:
-        return 0.0
-    return signal_power / (signal_power + noise)
-
-
-def correlation(qmap: QuadratureMap, v_in: float) -> float:
-    """Squared input-output correlation cov**2 / (v_in * v_out).
-
-    Equals the signal transfer coefficient when there is no cross-quadrature
-    coupling, which this model enforces.
-    """
-    if not v_in > 0:
-        raise ValueError(f"input variance must be > 0, got {v_in}")
-    v_out = output_variance(qmap, v_in)
-    if v_out == 0.0:
-        raise ValueError("correlation undefined: output carries no fluctuations")
-    cov = in_out_covariance(qmap, v_in)
-    return cov * cov / (v_in * v_out)
+    return _transfer(qmap, v_in)[0]
 
 
 def conditional_variance(qmap: QuadratureMap, v_in: float) -> float:
     """Conditional variance V_out * (1 - C) of the output given the input.
 
-    Algebraically this equals the added-noise variance N; both routes are
-    evaluated and must agree to 1e-12.
+    C = T_s in this model; algebraically the result equals the added-noise
+    variance N.
     """
-    v_out = output_variance(qmap, v_in)
-    v_cv = v_out * (1.0 - correlation(qmap, v_in))
-    noise = added_noise_variance(qmap)
-    if abs(v_cv - noise) > DUAL_ROUTE_TOL:
-        raise AssertionError(
-            f"conditional variance routes disagree: {v_cv!r} vs noise {noise!r}"
-        )
-    return v_cv
+    ts, v_out = _transfer(qmap, v_in)
+    return v_out * (1.0 - ts)
 
 
 def t_total(teleporter: Teleporter, state: InputState) -> float:
@@ -144,6 +128,25 @@ def v_total(teleporter: Teleporter, state: InputState) -> float:
     )
 
 
+def _field_criteria(
+    teleporter: Teleporter, state: InputState, v_out_sum: float
+) -> tuple[float, float]:
+    """(C_f, V_cvf) given the sum of the two output quadrature variances."""
+    if v_out_sum == 0.0:
+        raise ValueError("field correlation undefined: output carries no fluctuations")
+    cov_sum = in_out_covariance(teleporter.plus, state.v_plus) + in_out_covariance(
+        teleporter.minus, state.v_minus
+    )
+    c_f = cov_sum * cov_sum / ((state.v_plus + state.v_minus) * v_out_sum)
+    return c_f, 0.5 * v_out_sum * (1.0 - c_f)
+
+
+def _output_variance_sum(teleporter: Teleporter, state: InputState) -> float:
+    return output_variance(teleporter.plus, state.v_plus) + output_variance(
+        teleporter.minus, state.v_minus
+    )
+
+
 def field_correlation(teleporter: Teleporter, state: InputState) -> float:
     """Correlation of input and output field operators, in [0, 1].
 
@@ -151,73 +154,45 @@ def field_correlation(teleporter: Teleporter, state: InputState) -> float:
     quadrature moments is (cov+ + cov-)**2 / ((V_in+ + V_in-)(V_out+ + V_out-)).
     1 for identical fields, 0 for independent ones.
     """
-    cov_sum = in_out_covariance(teleporter.plus, state.v_plus) + in_out_covariance(
-        teleporter.minus, state.v_minus
-    )
-    v_out_sum = output_variance(teleporter.plus, state.v_plus) + output_variance(
-        teleporter.minus, state.v_minus
-    )
-    if v_out_sum == 0.0:
-        raise ValueError("field correlation undefined: output carries no fluctuations")
-    return cov_sum * cov_sum / ((state.v_plus + state.v_minus) * v_out_sum)
+    return _field_criteria(teleporter, state, _output_variance_sum(teleporter, state))[0]
 
 
 def field_conditional_variance(teleporter: Teleporter, state: InputState) -> float:
     """Field conditional variance (V_out+ + V_out-)/2 * (1 - C_f).
 
-    Also evaluated through the signal-transfer route
-    (V_out+ + V_out- - (s+ sqrt(T_s+ V_out+ V_in+) + s- sqrt(T_s- V_out- V_in-))**2
-    / (V_in+ + V_in-)) / 2, where s+- carries the sign of the in-out
-    covariance (the square root alone would lose it for negative gains);
-    the two routes must agree to 1e-12.  At least 1 for independent fields.
+    At least 1 for independent fields.
     """
-    v_out_p = output_variance(teleporter.plus, state.v_plus)
-    v_out_m = output_variance(teleporter.minus, state.v_minus)
-    primary = 0.5 * (v_out_p + v_out_m) * (1.0 - field_correlation(teleporter, state))
-
-    cov_p = in_out_covariance(teleporter.plus, state.v_plus)
-    cov_m = in_out_covariance(teleporter.minus, state.v_minus)
-    ts_route = 0.0
-    for cov, qmap, v_in, v_out in (
-        (cov_p, teleporter.plus, state.v_plus, v_out_p),
-        (cov_m, teleporter.minus, state.v_minus, v_out_m),
-    ):
-        if qmap.gain == 0.0 and added_noise_variance(qmap) == 0.0:
-            continue  # T_s undefined but the covariance contribution is 0
-        term = math.sqrt(signal_transfer(qmap, v_in) * v_out * v_in)
-        ts_route += math.copysign(term, cov) if cov != 0.0 else 0.0
-    alternate = 0.5 * (
-        v_out_p + v_out_m - ts_route * ts_route / (state.v_plus + state.v_minus)
-    )
-    if abs(primary - alternate) > DUAL_ROUTE_TOL:
-        raise AssertionError(
-            f"field conditional variance routes disagree: {primary!r} vs {alternate!r}"
-        )
-    return primary
+    return _field_criteria(teleporter, state, _output_variance_sum(teleporter, state))[1]
 
 
 def classical_bound_check(teleporter: Teleporter) -> ClassicalBoundCheck:
     """Added-noise uncertainty product (N+/gain+**2)(N-/gain-**2) vs 1.
 
     A product >= 1 is required of any map whose information crossed a
-    classical channel; the bound is undefined for zero gain.
+    classical channel; the bound is undefined (ValueError) for zero gain,
+    including a gain whose square underflows, and whenever the product is
+    not finite.
     """
-    gp = teleporter.plus.gain
-    gm = teleporter.minus.gain
-    if gp == 0.0 or gm == 0.0:
-        raise ValueError("classical bound undefined for zero gain")
-    product = (added_noise_variance(teleporter.plus) / (gp * gp)) * (
-        added_noise_variance(teleporter.minus) / (gm * gm)
+    gp2 = teleporter.plus.gain * teleporter.plus.gain
+    gm2 = teleporter.minus.gain * teleporter.minus.gain
+    if gp2 == 0.0 or gm2 == 0.0:
+        raise ValueError("classical bound undefined for zero gain (or an underflowing gain**2)")
+    product = (added_noise_variance(teleporter.plus) / gp2) * (
+        added_noise_variance(teleporter.minus) / gm2
     )
-    return ClassicalBoundCheck(product=product, satisfied=product >= 1.0 - DUAL_ROUTE_TOL)
+    if not math.isfinite(product):
+        raise ValueError(f"classical bound undefined: the noise product is {product}")
+    return ClassicalBoundCheck(product=product, satisfied=product >= 1.0 - BOUNDARY_TOL)
 
 
 def _classify_region(v_cvf: float) -> Region:
+    if math.isnan(v_cvf):
+        raise ValueError("region undefined: v_cvf is NaN")
     # Boundary values classify upward; the snap width absorbs closed-form
     # rounding (e.g. squared sqrt(2) coefficients landing 4e-16 low).
-    if v_cvf >= 2.0 - DUAL_ROUTE_TOL:
+    if v_cvf >= 2.0 - BOUNDARY_TOL:
         return Region.CLASSICAL
-    if v_cvf >= 1.0 - DUAL_ROUTE_TOL:
+    if v_cvf >= 1.0 - BOUNDARY_TOL:
         return Region.INTERMEDIATE
     return Region.STRONG
 
@@ -225,32 +200,30 @@ def _classify_region(v_cvf: float) -> Region:
 def classify(teleporter: Teleporter, state: InputState) -> CriteriaReport:
     """Evaluate every criterion and classify the operating region.
 
-    ``both_violated`` requires strict violation of both classical bounds
-    (T_t > 1 and V_t < 1, with a 1e-12 guard band so boundary cases do not
-    count as violations).
+    ``c_plus``/``c_minus`` carry the squared input-output correlation C,
+    which equals T_s in this model.  ``both_violated`` requires strict
+    violation of both classical bounds (T_t > 1 and V_t < 1, with a 1e-12
+    guard band so boundary cases do not count as violations).
     """
-    ts_p = signal_transfer(teleporter.plus, state.v_plus)
-    ts_m = signal_transfer(teleporter.minus, state.v_minus)
-    c_p = correlation(teleporter.plus, state.v_plus)
-    c_m = correlation(teleporter.minus, state.v_minus)
-    vcv_p = conditional_variance(teleporter.plus, state.v_plus)
-    vcv_m = conditional_variance(teleporter.minus, state.v_minus)
+    ts_p, v_out_p = _transfer(teleporter.plus, state.v_plus)
+    ts_m, v_out_m = _transfer(teleporter.minus, state.v_minus)
+    vcv_p = v_out_p * (1.0 - ts_p)
+    vcv_m = v_out_m * (1.0 - ts_m)
     t_t = ts_p + ts_m
     v_t = 0.5 * (vcv_p + vcv_m)
-    c_f = field_correlation(teleporter, state)
-    v_cvf = field_conditional_variance(teleporter, state)
+    c_f, v_cvf = _field_criteria(teleporter, state, v_out_p + v_out_m)
     return CriteriaReport(
         ts_plus=ts_p,
         ts_minus=ts_m,
         t_t=t_t,
-        c_plus=c_p,
-        c_minus=c_m,
+        c_plus=ts_p,
+        c_minus=ts_m,
         vcv_plus=vcv_p,
         vcv_minus=vcv_m,
         v_t=v_t,
         c_f=c_f,
         v_cvf=v_cvf,
         region=_classify_region(v_cvf),
-        both_violated=(t_t > 1.0 + DUAL_ROUTE_TOL) and (v_t < 1.0 - DUAL_ROUTE_TOL),
+        both_violated=(t_t > 1.0 + BOUNDARY_TOL) and (v_t < 1.0 - BOUNDARY_TOL),
         input_minimum_uncertainty=state.minimum_uncertainty,
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,21 +33,6 @@ from .teleporter import Teleporter
 
 BLOCK_SHOTS = 1 << 16
 MIN_SHOTS = 100
-
-_QUANTITIES = (
-    "ts_plus",
-    "ts_minus",
-    "t_t",
-    "vcv_plus",
-    "vcv_minus",
-    "v_t",
-    "c_f",
-    "v_cvf",
-    "v_out_plus",
-    "v_out_minus",
-    "cov_plus",
-    "cov_minus",
-)
 
 
 @dataclass(frozen=True)
@@ -77,7 +62,11 @@ class SampleStats:
 
     def as_dict(self) -> dict[str, Estimate]:
         """Estimates keyed by quantity name, in canonical order."""
-        return {name: getattr(self, name) for name in _QUANTITIES}
+        return {name: getattr(self, name) for name in _NAMES}
+
+
+# Quantity names, in SampleStats field order.
+_NAMES = tuple(f.name for f in fields(SampleStats) if f.type == "Estimate")
 
 
 @dataclass(frozen=True)
@@ -218,27 +207,18 @@ def _delta_method_se(func, m: np.ndarray, sigma: np.ndarray) -> float:
     return math.sqrt(max(variance, 0.0))
 
 
-def _criteria_from_moments(m: np.ndarray) -> dict[str, float]:
-    """Every reported quantity from (v_in+, v_out+, cov+, v_in-, v_out-, cov-)."""
+def _criteria_from_moments(m: np.ndarray) -> tuple[float, ...]:
+    """``_NAMES`` quantities, in order, from (v_in+, v_out+, cov+, v_in-, v_out-, cov-)."""
     vin_p, vout_p, cov_p, vin_m, vout_m, cov_m = m
     c_p = cov_p * cov_p / (vin_p * vout_p)
     c_m = cov_m * cov_m / (vin_m * vout_m)
+    vcv_p = vout_p * (1.0 - c_p)
+    vcv_m = vout_m * (1.0 - c_m)
     cov_sum = cov_p + cov_m
     c_f = cov_sum * cov_sum / ((vin_p + vin_m) * (vout_p + vout_m))
-    return {
-        "ts_plus": c_p,
-        "ts_minus": c_m,
-        "t_t": c_p + c_m,
-        "vcv_plus": vout_p * (1.0 - c_p),
-        "vcv_minus": vout_m * (1.0 - c_m),
-        "v_t": 0.5 * (vout_p * (1.0 - c_p) + vout_m * (1.0 - c_m)),
-        "c_f": c_f,
-        "v_cvf": 0.5 * (vout_p + vout_m) * (1.0 - c_f),
-        "v_out_plus": vout_p,
-        "v_out_minus": vout_m,
-        "cov_plus": cov_p,
-        "cov_minus": cov_m,
-    }
+    v_cvf = 0.5 * (vout_p + vout_m) * (1.0 - c_f)
+    v_t = 0.5 * (vcv_p + vcv_m)
+    return c_p, c_m, c_p + c_m, vcv_p, vcv_m, v_t, c_f, v_cvf, vout_p, vout_m, cov_p, cov_m
 
 
 def sample_criteria(
@@ -258,26 +238,19 @@ def sample_criteria(
     """
     _validate(n_shots, seed)
     moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=False)
-    m = np.array(
-        [
-            moments["+"]["v_in"],
-            moments["+"]["v_out"],
-            moments["+"]["cov"],
-            moments["-"]["v_in"],
-            moments["-"]["v_out"],
-            moments["-"]["cov"],
-        ]
-    )
+    m = np.array([moments[quad][key] for quad in "+-" for key in ("v_in", "v_out", "cov")])
     sigma = np.zeros((6, 6))
     sigma[:3, :3] = _moment_covariance(m[0], m[1], m[2], n_shots)
     sigma[3:, 3:] = _moment_covariance(m[3], m[4], m[5], n_shots)
 
-    values = _criteria_from_moments(m)
-    estimates = {}
-    for name in _QUANTITIES:
-        se = _delta_method_se(lambda mm, q=name: _criteria_from_moments(mm)[q], m, sigma)
-        estimates[name] = Estimate(value=float(values[name]), std_error=se)
-    return SampleStats(n_shots=n_shots, seed=seed, **estimates)
+    estimates = [
+        Estimate(
+            value=float(value),
+            std_error=_delta_method_se(lambda mm, i=i: _criteria_from_moments(mm)[i], m, sigma),
+        )
+        for i, value in enumerate(_criteria_from_moments(m))
+    ]
+    return SampleStats(n_shots, seed, **dict(zip(_NAMES, estimates)))
 
 
 def sample_signal_transfer(

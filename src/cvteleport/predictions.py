@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .criteria import DUAL_ROUTE_TOL, field_conditional_variance
+from .criteria import field_conditional_variance
 from .quadrature import InputState, output_variance
 from .teleporter import Family, Teleporter
 
@@ -57,22 +57,14 @@ def output_variance_symmetric(
 ) -> float:
     """Output variance of one quadrature via the v_cvf + gain**2 v_in form.
 
-    Applies to the symmetric EPR family, where it is asserted against the
-    generic gain**2 v_in + N evaluation to 1e-12; other teleporters fall
-    back to the generic form.
+    Applies to the symmetric EPR family; other teleporters use the generic
+    gain**2 v_in + N evaluation.
     """
     qmap = teleporter.map_for(quadrature)
     v_in = state.variance(quadrature)
-    generic = output_variance(qmap, v_in)
     if teleporter.family is not Family.EPR or not teleporter.symmetric:
-        return generic
-    v_cvf = field_conditional_variance(teleporter, state)
-    special = symmetric_output_variance(v_cvf, qmap.gain, v_in)
-    if abs(special - generic) > DUAL_ROUTE_TOL:
-        raise AssertionError(
-            f"symmetric output variance routes disagree: {special!r} vs {generic!r}"
-        )
-    return special
+        return output_variance(qmap, v_in)
+    return symmetric_output_variance(field_conditional_variance(teleporter, state), qmap.gain, v_in)
 
 
 def squeezing_preserved(teleporter: Teleporter, v_in_plus: float) -> bool:

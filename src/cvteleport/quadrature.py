@@ -79,6 +79,8 @@ class InputState:
     s_minus: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.v_plus, self.v_minus, self.s_plus, self.s_minus))):
+            raise ValueError("input state variances and signals must be finite")
         if not self.v_plus > 0 or not self.v_minus > 0:
             raise ValueError(
                 f"quadrature variances must be > 0, got ({self.v_plus}, {self.v_minus})"

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from cvteleport import cli
+
 SWEEP_HEADER = "lambda,resource,ts_plus,ts_minus,t_t,vcv_plus,vcv_minus,v_t,c_f,v_cvf,region"
 
 
@@ -254,6 +256,110 @@ class TestMc:
         out = tmp_path / "table.csv"
         third = run_cli(*args, "--out", str(out))
         assert out.read_text() == third.stdout
+
+
+class TestMcWorkers:
+    @pytest.mark.parametrize("flags,expected", [((), 1), (("--workers", "3"), 3)])
+    def test_flag_reaches_sampler(self, tmp_path, monkeypatch, capsys, flags, expected):
+        config = tmp_path / "mc.json"
+        config.write_text(
+            json.dumps(
+                {"family": "epr", "lambda": 1.0, "resource": 1.0, "mc": {"shots": 2000, "seed": 1}}
+            )
+        )
+        seen = []
+        sample_criteria = cli.sample_criteria
+
+        def spy(*args, workers):
+            seen.append(workers)
+            return sample_criteria(*args, workers=workers)
+
+        monkeypatch.setattr(cli, "sample_criteria", spy)
+        assert cli.main(["mc", "--config", str(config), *flags]) == 0
+        assert seen == [expected]
+
+
+EPR_POINT = {"family": "epr", "lambda": 1.0, "resource": 0.5}
+GRID = {"min": 0.5, "max": 1.0, "steps": 2}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("report", {**EPR_POINT, "lambda": "abc"}),
+            ("report", {**EPR_POINT, "lambda": None}),
+            ("report", {**EPR_POINT, "resource": "NaN"}),
+            ("report", {**EPR_POINT, "input": {"v_plus": "abc"}}),
+            (
+                "sweep",
+                {
+                    **EPR_POINT,
+                    "out": "x.csv",
+                    "sweep": {"lambda": {**GRID, "steps": "x"}, "resource": GRID},
+                },
+            ),
+            ("mc", {**EPR_POINT, "mc": {"shots": "many"}}),
+            ("bell", {"lambda": 1.0, "bell": {"s_i": [1.5]}}),
+            ("squeeze", {"lambda": 1.0, "squeeze": {"v_cvf": "grid"}}),
+            ("report", {**EPR_POINT, "input": 0.3}),
+            ("report", {**EPR_POINT, "input": "abc"}),
+            ("mc", {**EPR_POINT, "mc": 5000}),
+            ("squeeze", {"lambda": 1.0, "squeeze": "grid"}),
+        ],
+    )
+    def test_exits_1_without_traceback(self, tmp_path, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = run_cli(command, "--config", str(path))
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_flag_does_not_replace_a_malformed_section(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**EPR_POINT, "input": 0.3}))
+        result = run_cli("report", "--config", str(path), "--vin-plus", "2")
+        assert result.returncode == 1
+        assert "error: input must be an object" in result.stderr
+
+    def test_error_names_the_full_field(self, tmp_path):
+        config = {**EPR_POINT, "out": "x.csv", "sweep": {"lambda": {**GRID, "steps": "x"}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = run_cli("sweep", "--config", str(path))
+        assert result.returncode == 1
+        assert "error: sweep.lambda.steps must be of type int" in result.stderr
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("gain", ["1e-170", "1e-160"])
+    def test_tiny_gain_reports_undefined_bound(self, gain):
+        result = run_cli("report", "--family", "epr", "--lambda", gain, "--resource", "0.5")
+        assert result.returncode == 0, result.stderr
+        assert strict_json(result.stdout)["classical_bound"] is None
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--lambda", "1", "--resource", "0.5", "--vin-plus", "inf"),
+            ("--lambda", "1", "--resource", "0.5", "--vin-minus", "nan"),
+            ("--lambda", "2", "--resource", "0.5", "--vin-plus", "1e308", "--vin-minus", "1e-308"),
+        ],
+    )
+    def test_non_finite_criteria_exit_1_without_traceback(self, args):
+        result = run_cli("report", "--family", "epr", *args)
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 class TestBell:

@@ -15,9 +15,9 @@ from cvteleport import (
     classical_bound_check,
     classify,
     conditional_variance,
-    correlation,
     field_conditional_variance,
     field_correlation,
+    in_out_covariance,
     make_classical_measure_resend,
     make_custom,
     make_epr,
@@ -33,6 +33,37 @@ ASYMMETRIC_DEMO = make_custom(
     QuadratureMap(1.0, (NoiseTerm("a", 1.0, 1.0),)),
     QuadratureMap(0.5, (NoiseTerm("b", 1.0, 1.0),)),
 )
+
+
+def correlation(qmap: QuadratureMap, v_in: float) -> float:
+    """Squared input-output correlation cov**2 / (v_in * v_out).
+
+    An independent route to the signal transfer coefficient, kept here as
+    the test oracle for signal_transfer.
+    """
+    cov = in_out_covariance(qmap, v_in)
+    return cov * cov / (v_in * output_variance(qmap, v_in))
+
+
+def v_cvf_via_signal_transfer(teleporter, state: InputState) -> float:
+    """Field conditional variance through the per-quadrature signal transfer.
+
+    (V_out+ + V_out- - (s+ sqrt(T_s+ V_out+ V_in+) + s- sqrt(T_s- V_out- V_in-))**2
+    / (V_in+ + V_in-)) / 2, where s+- carries the sign of the in-out
+    covariance (the square root alone would lose it for negative gains).
+    An independent oracle for field_conditional_variance.
+    """
+    v_out_sum = 0.0
+    ts_route = 0.0
+    for qmap, v_in in ((teleporter.plus, state.v_plus), (teleporter.minus, state.v_minus)):
+        v_out = output_variance(qmap, v_in)
+        v_out_sum += v_out
+        if v_out == 0.0:
+            continue  # T_s undefined but the covariance contribution is 0
+        cov = in_out_covariance(qmap, v_in)
+        term = math.sqrt(signal_transfer(qmap, v_in) * v_out * v_in)
+        ts_route += math.copysign(term, cov) if cov != 0.0 else 0.0
+    return 0.5 * (v_out_sum - ts_route * ts_route / (state.v_plus + state.v_minus))
 
 
 def unit_noise_map(gain: float, noise: float, mode_id: str = "n") -> QuadratureMap:
@@ -92,6 +123,12 @@ class TestConditionalVariance:
         assert conditional_variance(qmap, v_in) == pytest.approx(
             added_noise_variance(qmap), abs=1e-12
         )
+
+
+    def test_underflowing_correlation_denominator(self):
+        # v_in * v_out underflows to 0 here; the result is still exactly N
+        qmap = unit_noise_map(0.0, 5e-324)
+        assert conditional_variance(qmap, 0.01) == added_noise_variance(qmap)
 
 
 class TestTotals:
@@ -178,6 +215,12 @@ class TestClassicalBoundCheck:
         with pytest.raises(ValueError, match="zero gain"):
             classical_bound_check(make_classical_measure_resend(0.0))
 
+    @pytest.mark.parametrize("gain", [1e-170, 1e-160])
+    def test_tiny_gain_is_undefined(self, gain):
+        # gain**2 underflows to 0 (1e-170) or makes the product overflow (1e-160)
+        with pytest.raises(ValueError, match="classical bound undefined"):
+            classical_bound_check(make_epr(gain, 0.5))
+
 
 class TestClassify:
     def test_classical_region(self):
@@ -206,6 +249,16 @@ class TestClassify:
         assert report.c_minus == pytest.approx(report.ts_minus, abs=1e-12)
         assert report.t_t == report.ts_plus + report.ts_minus
         assert report.v_t == 0.5 * (report.vcv_plus + report.vcv_minus)
+
+    def test_correlation_fields_are_signal_transfer(self):
+        report = classify(ASYMMETRIC_DEMO, InputState(0.3, 2.0))
+        assert report.c_plus == report.ts_plus
+        assert report.c_minus == report.ts_minus
+
+    def test_nan_field_conditional_variance_has_no_region(self):
+        # T_s and C_f are inf/inf here; a NaN must not fall through to Strong
+        with pytest.raises(ValueError, match="NaN"):
+            classify(make_epr(2.0, 0.5), InputState(1e308, 1e-308))
 
     def test_non_minimum_uncertainty_input_flagged(self):
         report = classify(make_epr(1.0, 1.0), InputState(2.0, 2.0))
@@ -261,6 +314,31 @@ class TestInvariants:
         assume(v_out_sum > 0.0)
         c_f = field_correlation(teleporter, InputState(v_plus, v_minus))
         assert -1e-12 <= c_f <= 1.0 + 1e-12
+
+    @given(
+        st.one_of(
+            teleporter_strategy(),
+            st.builds(
+                make_epr,
+                st.floats(min_value=-2.0, max_value=2.0),
+                st.floats(min_value=1e-2, max_value=1.0),
+            ),
+        ),
+        st.floats(min_value=0.1, max_value=5.0),
+        st.floats(min_value=0.1, max_value=5.0),
+    )
+    @settings(max_examples=300)
+    def test_field_conditional_variance_matches_signal_transfer_route(
+        self, teleporter, v_plus, v_minus
+    ):
+        state = InputState(v_plus, v_minus)
+        v_out_sum = output_variance(teleporter.plus, v_plus) + output_variance(
+            teleporter.minus, v_minus
+        )
+        assume(v_out_sum > 0.0)
+        assert field_conditional_variance(teleporter, state) == pytest.approx(
+            v_cvf_via_signal_transfer(teleporter, state), abs=1e-12
+        )
 
     @given(
         st.floats(min_value=0.1, max_value=3.0),

@@ -68,6 +68,20 @@ class TestInputState:
         with pytest.raises(ValueError, match="variances must be > 0"):
             InputState(1.0, -2.0)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (math.inf, 1.0),
+            (1.0, math.inf),
+            (math.nan, 1.0),
+            (1.0, 1.0, math.inf, 0.0),
+            (1.0, 1.0, 0.0, math.nan),
+        ],
+    )
+    def test_rejects_non_finite(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            InputState(*values)
+
     def test_minimum_uncertainty_flag(self):
         assert InputState(1.0, 1.0).minimum_uncertainty
         assert InputState(0.25, 4.0).minimum_uncertainty
