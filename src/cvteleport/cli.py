@@ -133,20 +133,30 @@ def _lookup(config: dict[str, Any], field: str) -> Any:
 
 
 def _value(config: dict[str, Any], field: str, kind: type = float, default: Any = _REQUIRED) -> Any:
-    """The value at dotted ``field`` converted by ``kind``, or ``default``.
+    """The value at dotted ``field`` as ``kind``, or ``default``.
 
-    A missing or null value without a default, or one ``kind`` cannot
-    convert, raises ConfigError; floats must be finite.
+    A missing or null value without a default raises ConfigError, and so
+    does a value of the wrong JSON type: ``float`` and ``int`` fields take
+    numbers other than booleans (integral ones for ``int``, finite ones for
+    ``float``), ``str`` fields take strings.
     """
     node = _lookup(config, field)
     if node is None:
         if default is _REQUIRED:
             raise ConfigError(f"missing required field: {field}")
         return default
+    if kind is str:
+        valid = isinstance(node, str)
+    else:
+        valid = isinstance(node, (int, float)) and not isinstance(node, bool)
+        if kind is int and isinstance(node, float):
+            valid = node.is_integer()
+    if not valid:
+        raise ConfigError(f"{field} must be of type {kind.__name__}, got {node!r}")
     try:
         value = kind(node)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{field} must be of type {kind.__name__}, got {node!r}") from exc
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ConfigError(f"{field} must be finite, got {node!r}") from exc
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{field} must be finite, got {node!r}")
     return value

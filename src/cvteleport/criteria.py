@@ -24,21 +24,22 @@ in [1, 2) (entanglement demonstrable), ``classical`` at 2 and above.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .quadrature import (
-    InputState,
-    QuadratureMap,
-    added_noise_variance,
-    in_out_covariance,
-    output_variance,
-)
+from .quadrature import InputState, QuadratureMap, added_noise_variance
 from .teleporter import Teleporter
 
 # Snap width for region boundaries, which classify upward, and guard band
 # of the classical bounds.
 BOUNDARY_TOL = 1e-12
+
+_MIN_NORMAL = sys.float_info.min
+
+# (gain, V_in, N) of one quadrature.
+_Quad = tuple[float, float, float]
 
 # The criteria reported both in a sweep row and in the Monte Carlo table,
 # in column order.
@@ -83,15 +84,16 @@ class CriteriaReport:
     input_minimum_uncertainty: bool
 
 
-def _transfer(qmap: QuadratureMap, v_in: float) -> tuple[float, float]:
-    """(T_s, V_out) for one quadrature, sharing one added-noise sum."""
+def _transfer(qmap: QuadratureMap, v_in: float) -> tuple[float, float, float]:
+    """(T_s, V_out, N) for one quadrature, sharing one added-noise sum."""
     if not v_in > 0:
         raise ValueError(f"input variance must be > 0, got {v_in}")
+    noise = added_noise_variance(qmap)
     signal_power = qmap.gain * qmap.gain * v_in
-    v_out = signal_power + added_noise_variance(qmap)
+    v_out = signal_power + noise
     if v_out == 0.0:
         raise ValueError("signal transfer undefined: zero gain and zero added noise")
-    return signal_power / v_out, v_out
+    return signal_power / v_out, v_out, noise
 
 
 def signal_transfer(qmap: QuadratureMap, v_in: float) -> float:
@@ -109,7 +111,7 @@ def conditional_variance(qmap: QuadratureMap, v_in: float) -> float:
     C = T_s in this model; algebraically the result equals the added-noise
     variance N.
     """
-    ts, v_out = _transfer(qmap, v_in)
+    ts, v_out, _ = _transfer(qmap, v_in)
     return v_out * (1.0 - ts)
 
 
@@ -128,23 +130,63 @@ def v_total(teleporter: Teleporter, state: InputState) -> float:
     )
 
 
+def _field_sums(quads: Sequence[_Quad]) -> tuple[float, float, float]:
+    """(cov+ + cov-, V_in+ + V_in-, V_out+ + V_out-) from (gain, V_in, N) per quadrature."""
+    (g_p, v_p, noise_p), (g_m, v_m, noise_m) = quads
+    v_out_sum = (g_p * g_p * v_p + noise_p) + (g_m * g_m * v_m + noise_m)
+    return g_p * v_p + g_m * v_m, v_p + v_m, v_out_sum
+
+
+def _rescaled(quads: Sequence[_Quad]) -> list[_Quad]:
+    """(gain, V_in, N) per quadrature scaled by 2**-e, 2**-a and 2**-(a + 2e).
+
+    The powers of two are exact and cancel in C_f.  a brings the larger input
+    variance near 1, or as near as keeps the smaller one from underflowing,
+    and e brings the largest term of V_out+ + V_out- near 1, so that no
+    square or product of the moments under- or overflows.  The exponents are
+    read with frexp, so choosing them overflows nothing either.
+    """
+    v_in = [v for _, v, _ in quads]
+    # 1073 keeps the smaller input variance at or above 2**-1074, the least subnormal.
+    a = min(math.frexp(max(v_in))[1], math.frexp(min(v_in))[1] + 1073)
+    # Binary exponent of the largest term of V_out+ + V_out-, within 2; some
+    # term is nonzero, or the output would carry no fluctuations.
+    top = max(
+        [2 * math.frexp(g)[1] + math.frexp(v)[1] for g, v, _ in quads if g]
+        + [math.frexp(n)[1] for _, _, n in quads if n]
+    )
+    e = (top - a) // 2
+    return [(math.ldexp(g, -e), math.ldexp(v, -a), math.ldexp(n, -a - 2 * e)) for g, v, n in quads]
+
+
 def _field_criteria(
-    teleporter: Teleporter, state: InputState, v_out_sum: float
+    teleporter: Teleporter, state: InputState, noise_plus: float, noise_minus: float
 ) -> tuple[float, float]:
-    """(C_f, V_cvf) given the sum of the two output quadrature variances."""
+    """(C_f, V_cvf) given the added-noise variance N of each quadrature."""
+    quads = (
+        (teleporter.plus.gain, state.v_plus, noise_plus),
+        (teleporter.minus.gain, state.v_minus, noise_minus),
+    )
+    cov_sum, v_in_sum, v_out_sum = _field_sums(quads)
     if v_out_sum == 0.0:
         raise ValueError("field correlation undefined: output carries no fluctuations")
-    cov_sum = in_out_covariance(teleporter.plus, state.v_plus) + in_out_covariance(
-        teleporter.minus, state.v_minus
-    )
-    c_f = cov_sum * cov_sum / ((state.v_plus + state.v_minus) * v_out_sum)
+    numerator, denominator = cov_sum * cov_sum, v_in_sum * v_out_sum
+    if not (
+        _MIN_NORMAL <= denominator < math.inf
+        and (cov_sum == 0.0 or _MIN_NORMAL <= numerator < math.inf)
+    ):
+        # A product under- or overflowed: C_f is a ratio of fourth-degree
+        # products, so evaluate it again on moments rescaled to near 1.
+        cov_sum, v_in_sum, scaled_sum = _field_sums(_rescaled(quads))
+        numerator, denominator = cov_sum * cov_sum, v_in_sum * scaled_sum
+    c_f = numerator / denominator
     return c_f, 0.5 * v_out_sum * (1.0 - c_f)
 
 
-def _output_variance_sum(teleporter: Teleporter, state: InputState) -> float:
-    return output_variance(teleporter.plus, state.v_plus) + output_variance(
-        teleporter.minus, state.v_minus
-    )
+def _field(teleporter: Teleporter, state: InputState) -> tuple[float, float]:
+    """(C_f, V_cvf) from the teleporter's own added-noise sums."""
+    noise = (added_noise_variance(teleporter.plus), added_noise_variance(teleporter.minus))
+    return _field_criteria(teleporter, state, *noise)
 
 
 def field_correlation(teleporter: Teleporter, state: InputState) -> float:
@@ -154,7 +196,7 @@ def field_correlation(teleporter: Teleporter, state: InputState) -> float:
     quadrature moments is (cov+ + cov-)**2 / ((V_in+ + V_in-)(V_out+ + V_out-)).
     1 for identical fields, 0 for independent ones.
     """
-    return _field_criteria(teleporter, state, _output_variance_sum(teleporter, state))[0]
+    return _field(teleporter, state)[0]
 
 
 def field_conditional_variance(teleporter: Teleporter, state: InputState) -> float:
@@ -162,7 +204,7 @@ def field_conditional_variance(teleporter: Teleporter, state: InputState) -> flo
 
     At least 1 for independent fields.
     """
-    return _field_criteria(teleporter, state, _output_variance_sum(teleporter, state))[1]
+    return _field(teleporter, state)[1]
 
 
 def classical_bound_check(teleporter: Teleporter) -> ClassicalBoundCheck:
@@ -205,13 +247,13 @@ def classify(teleporter: Teleporter, state: InputState) -> CriteriaReport:
     violation of both classical bounds (T_t > 1 and V_t < 1, with a 1e-12
     guard band so boundary cases do not count as violations).
     """
-    ts_p, v_out_p = _transfer(teleporter.plus, state.v_plus)
-    ts_m, v_out_m = _transfer(teleporter.minus, state.v_minus)
+    ts_p, v_out_p, noise_p = _transfer(teleporter.plus, state.v_plus)
+    ts_m, v_out_m, noise_m = _transfer(teleporter.minus, state.v_minus)
     vcv_p = v_out_p * (1.0 - ts_p)
     vcv_m = v_out_m * (1.0 - ts_m)
     t_t = ts_p + ts_m
     v_t = 0.5 * (vcv_p + vcv_m)
-    c_f, v_cvf = _field_criteria(teleporter, state, v_out_p + v_out_m)
+    c_f, v_cvf = _field_criteria(teleporter, state, noise_p, noise_m)
     return CriteriaReport(
         ts_plus=ts_p,
         ts_minus=ts_m,

@@ -3,7 +3,8 @@
 Every latent Gaussian mode of a teleporter is sampled shot by shot, input
 and output quadrature records are synthesized from the linear input-output
 relation, and each criterion is re-estimated from sample moments together
-with a standard error.  The estimates provide an independent statistical
+with a delta-method standard error, taken through one central-difference
+Jacobian of all estimates.  The estimates provide an independent statistical
 check of the closed-form results.
 
 Determinism contract
@@ -175,8 +176,11 @@ def _accumulate(
     seed: int,
     workers: int,
     use_signals: bool,
-) -> dict[str, dict[str, float]]:
-    """Sample all blocks and reduce to per-quadrature first/second moments."""
+) -> list[tuple[float, float, float, float]]:
+    """Sample all blocks and reduce them to one moment tuple per quadrature.
+
+    Each tuple is (mean_out, v_in, v_out, cov), for "+" then "-".
+    """
     bounds = _block_bounds(n_shots)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -190,17 +194,15 @@ def _accumulate(
     # both block completion order and worker count.
     totals = [math.fsum(blk[i] for blk in blocks) for i in range(10)]
     n = n_shots
-    moments: dict[str, dict[str, float]] = {}
-    for offset, quad in ((0, "+"), (5, "-")):
-        s1_in, s2_in, s1_out, s2_out, s11 = totals[offset : offset + 5]
-        moments[quad] = {
-            "mean_in": s1_in / n,
-            "mean_out": s1_out / n,
-            "v_in": (s2_in - s1_in * s1_in / n) / (n - 1),
-            "v_out": (s2_out - s1_out * s1_out / n) / (n - 1),
-            "cov": (s11 - s1_in * s1_out / n) / (n - 1),
-        }
-    return moments
+    return [
+        (
+            s1_out / n,
+            (s2_in - s1_in * s1_in / n) / (n - 1),
+            (s2_out - s1_out * s1_out / n) / (n - 1),
+            (s11 - s1_in * s1_out / n) / (n - 1),
+        )
+        for s1_in, s2_in, s1_out, s2_out, s11 in (totals[:5], totals[5:])
+    ]
 
 
 def _moment_covariance(v_in: float, v_out: float, cov: float, n: int) -> np.ndarray:
@@ -217,18 +219,25 @@ def _moment_covariance(v_in: float, v_out: float, cov: float, n: int) -> np.ndar
     )
 
 
-def _delta_method_se(func, m: np.ndarray, sigma: np.ndarray) -> float:
-    """Standard error of func(m) by delta-method with a numerical gradient."""
-    grad = np.zeros(len(m))
+def _delta_method(func, m: np.ndarray, sigma: np.ndarray) -> list[Estimate]:
+    """Each output of ``func(m)`` with its delta-method standard error.
+
+    The Jacobian is taken by central differences, two evaluations of ``func``
+    per moment; each output's variance is its Jacobian row g as g @ sigma @ g.
+    """
+    values = func(m)
+    jacobian = np.empty((len(values), len(m)))
     for i in range(len(m)):
         h = 1e-6 * max(abs(m[i]), 1e-3)
         up = m.copy()
         dn = m.copy()
         up[i] += h
         dn[i] -= h
-        grad[i] = (func(up) - func(dn)) / (2 * h)
-    variance = float(grad @ sigma @ grad)
-    return math.sqrt(max(variance, 0.0))
+        jacobian[:, i] = (np.array(func(up)) - np.array(func(dn))) / (2 * h)
+    return [
+        Estimate(value=float(value), std_error=math.sqrt(max(float(g @ sigma @ g), 0.0)))
+        for value, g in zip(values, jacobian)
+    ]
 
 
 def _criteria_from_moments(m: np.ndarray) -> tuple[float, ...]:
@@ -262,18 +271,11 @@ def sample_criteria(
     """
     _validate(n_shots, seed)
     moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=False)
-    m = np.array([moments[quad][key] for quad in "+-" for key in ("v_in", "v_out", "cov")])
+    m = np.array([*moments[0][1:], *moments[1][1:]])  # (v_in, v_out, cov) per quadrature
     sigma = np.zeros((6, 6))
     sigma[:3, :3] = _moment_covariance(m[0], m[1], m[2], n_shots)
     sigma[3:, 3:] = _moment_covariance(m[3], m[4], m[5], n_shots)
-
-    estimates = [
-        Estimate(
-            value=float(value),
-            std_error=_delta_method_se(lambda mm, i=i: _criteria_from_moments(mm)[i], m, sigma),
-        )
-        for i, value in enumerate(_criteria_from_moments(m))
-    ]
+    estimates = _delta_method(_criteria_from_moments, m, sigma)
     return SampleStats(n_shots, seed, **dict(zip(_NAMES, estimates)))
 
 
@@ -297,24 +299,20 @@ def sample_signal_transfer(
         raise ValueError("both test-signal amplitudes must be nonzero")
     moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=True)
 
-    estimates = {}
-    for quad, field in (("+", "ts_plus_hat"), ("-", "ts_minus_hat")):
-        s = state.signal(quad)
-        mom = moments[quad]
+    estimates = []
+    for quad, (mean_out, v_in, v_out, cov) in zip("+-", moments):
         # Fluctuation moments: means subtracted, so the DC signal does not
         # bias the variance path.
-        m = np.array([mom["mean_out"], mom["v_out"], mom["v_in"]])
-
-        def ratio(mm: np.ndarray, s2: float = s * s) -> float:
-            mean_out, v_out, v_in = mm
-            return (mean_out * mean_out / v_out) / (s2 / v_in)
-
+        m = np.array([mean_out, v_out, v_in])
         sigma = np.zeros((3, 3))
-        sigma[0, 0] = mom["v_out"] / n_shots
-        sigma[1, 1] = 2 * mom["v_out"] ** 2 / (n_shots - 1)
-        sigma[2, 2] = 2 * mom["v_in"] ** 2 / (n_shots - 1)
-        sigma[1, 2] = sigma[2, 1] = 2 * mom["cov"] ** 2 / (n_shots - 1)
-        estimates[field] = Estimate(
-            value=float(ratio(m)), std_error=_delta_method_se(ratio, m, sigma)
-        )
-    return SignalTransferStats(n_shots=n_shots, seed=seed, **estimates)
+        sigma[0, 0] = v_out / n_shots
+        # The (v_out, v_in) block of the (v_in, v_out, cov) covariance.
+        sigma[1:, 1:] = _moment_covariance(v_in, v_out, cov, n_shots)[np.ix_((1, 0), (1, 0))]
+        s = state.signal(quad)
+
+        def ratio(mm: np.ndarray, s2: float = s * s) -> tuple[float]:
+            # SNR_out / SNR_in = (mean_out**2 / v_out) / (s**2 / v_in)
+            return ((mm[0] * mm[0] / mm[1]) / (s2 / mm[2]),)
+
+        estimates += _delta_method(ratio, m, sigma)
+    return SignalTransferStats(n_shots, seed, *estimates)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .criteria import field_conditional_variance
 from .quadrature import InputState, output_variance
-from .teleporter import Family, Teleporter
+from .teleporter import RESOURCE_NOISE, Family, Teleporter
 
 
 @dataclass(frozen=True)
@@ -100,26 +100,23 @@ def bell_s(params: BellParams) -> float:
     return numerator / denominator
 
 
-def _symmetric_noise_profile(family: Family, resource: float) -> tuple[float, float, float]:
-    """Per-quadrature added noise a(1+gain)**2 A + a(1-gain)**2 B as (a, A, B)."""
-    if family is Family.EPR:
-        return 0.5, resource, 1.0 / resource
-    if family is Family.SINGLE_MODE:
-        return 0.25, 1.0 + resource, 1.0 + 1.0 / resource
-    raise ValueError(f"optimal gain is defined for the epr and single_mode families, got {family}")
-
-
 def optimal_gain(family: Family, resource: float) -> OptimalGain:
     """Gain minimizing the field conditional variance for a resource level.
 
-    For added noise of the form a(1+g)**2 A + a(1-g)**2 B the minimizer is
-    g* = (B - A)/(A + B) with minimum 4 a A B / (A + B).  For the EPR
-    family this is 2/(v_ent + 1/v_ent); for the single-mode resource the
+    The added noise per quadrature is (1+g)**2 A/2 + (1-g)**2 B/2, with A and
+    B the family's noise-mode variances (``teleporter.RESOURCE_NOISE``).  The
+    minimizer is g* = (B - A)/(A + B) with minimum 2 A B / (A + B).  For the
+    EPR family this is 2/(v_ent + 1/v_ent); for the single-mode resource the
     minimum is 1 for every squeezing level.
     """
     if not 0.0 < resource <= 1.0:
         raise ValueError(f"resource must lie in (0, 1], got {resource}")
-    a, big_a, big_b = _symmetric_noise_profile(family, resource)
+    noise = RESOURCE_NOISE.get(family)
+    if noise is None:
+        raise ValueError(
+            f"optimal gain is defined for the epr and single_mode families, got {family}"
+        )
+    big_a, big_b = noise(resource)
     gain = (big_b - big_a) / (big_a + big_b)
-    minimum = 4.0 * a * big_a * big_b / (big_a + big_b)
+    minimum = 2.0 * big_a * big_b / (big_a + big_b)
     return OptimalGain(gain=gain, v_cvf_min=minimum)

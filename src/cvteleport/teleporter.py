@@ -64,6 +64,15 @@ class Teleporter:
         return self.plus if quadrature == "+" else self.minus
 
 
+# Variances of the two latent noise modes per quadrature of each resource
+# family, as functions of the resource parameter.  The modes enter with
+# coefficients (1+gain)/sqrt(2) and (1-gain)/sqrt(2).
+RESOURCE_NOISE = {
+    Family.EPR: lambda v_ent: (v_ent, 1.0 / v_ent),
+    Family.SINGLE_MODE: lambda v_s: ((1.0 + v_s) / 2.0, (1.0 + 1.0 / v_s) / 2.0),
+}
+
+
 def _check_resource(value: float, name: str) -> None:
     if not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
@@ -96,7 +105,7 @@ def make_epr(gain: float, v_ent: float) -> Teleporter:
     (1+gain)**2 * v_ent / 2 + (1-gain)**2 / (2 * v_ent).
     """
     _check_resource(v_ent, "v_ent")
-    plus, minus = _two_term_maps(gain, v_ent, 1.0 / v_ent, "ent")
+    plus, minus = _two_term_maps(gain, *RESOURCE_NOISE[Family.EPR](v_ent), "ent")
     return Teleporter(plus, minus, Family.EPR, gain=gain, resource=v_ent)
 
 
@@ -109,9 +118,7 @@ def make_single_mode(gain: float, v_s: float) -> Teleporter:
     and variances (1+v_s)/2, (1+1/v_s)/2.
     """
     _check_resource(v_s, "v_s")
-    plus, minus = _two_term_maps(
-        gain, (1.0 + v_s) / 2.0, (1.0 + 1.0 / v_s) / 2.0, "sms"
-    )
+    plus, minus = _two_term_maps(gain, *RESOURCE_NOISE[Family.SINGLE_MODE](v_s), "sms")
     return Teleporter(plus, minus, Family.SINGLE_MODE, gain=gain, resource=v_s)
 
 

@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvteleport import cli
 
@@ -306,6 +310,12 @@ class TestMalformedConfig:
             ("report", {**EPR_POINT, "input": "abc"}),
             ("mc", {**EPR_POINT, "mc": 5000}),
             ("squeeze", {"lambda": 1.0, "squeeze": "grid"}),
+            ("report", {**EPR_POINT, "lambda": True}),
+            ("report", {**EPR_POINT, "lambda": "1.5"}),
+            ("mc", {**EPR_POINT, "mc": {"shots": 2000, "seed": True}}),
+            ("mc", {**EPR_POINT, "mc": {"shots": 20000.9}}),
+            ("bell", {"lambda": 1.0, "bell": {"v_cvf": {**GRID, "steps": 2.9}}}),
+            ("bell", {"lambda": 1.0, "out": 5}),
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, command, config):
@@ -360,6 +370,82 @@ class TestNonFiniteValues:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+
+FUZZ_NUMBERS = st.one_of(
+    st.sampled_from(
+        [
+            "nan", "inf", "-inf", "5e-324", "-5e-324", "1e-310", "2.2250738585072014e-308",
+            "1e-300", "1e-170", "1e308", "-1e308", "1.7976931348623157e308", "0", "-0.0",
+            "1", "0.5", "2", "-2", "abc", "", "1,5",
+        ]
+    ),
+    st.floats().map(repr),
+)
+FUZZ_FLAGS = {
+    "--family": st.sampled_from(["epr", "single_mode", "classical", "custom", "EPR", ""]),
+    "--lambda": FUZZ_NUMBERS,
+    "--resource": FUZZ_NUMBERS,
+    "--vin-plus": FUZZ_NUMBERS,
+    "--vin-minus": FUZZ_NUMBERS,
+    "--seed": st.one_of(st.integers(-1, 2**64).map(str), st.sampled_from(["nan", "1e3", "x"])),
+    # File names under the test's temporary directory.
+    "--out": st.sampled_from(["out.txt", "missing/out.txt"]),
+    "--config": st.just("grids.json"),
+}
+# Small grids for sweep, bell and squeeze; the other commands ignore them.
+FUZZ_CONFIG = {
+    "sweep": {"lambda": {**GRID, "min": -1.0}, "resource": GRID},
+    "bell": {"v_cvf": GRID},
+    "squeeze": {"v_cvf": GRID},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "grids.json").write_text(json.dumps(FUZZ_CONFIG))
+    return path
+
+
+class TestFuzz:
+    @given(
+        command=st.sampled_from(["report", "sweep", "mc", "bell", "squeeze"]),
+        flags=st.fixed_dictionaries({}, optional=FUZZ_FLAGS),
+        shots=st.one_of(st.integers(-5, 3000).map(str), st.sampled_from(["nan", "1e3", "x"])),
+        corrupt=st.booleans(),
+    )
+    @example(
+        command="report",
+        flags={
+            "--family": "epr",
+            "--lambda": "1",
+            "--resource": "1e-300",
+            "--vin-plus": "1e-300",
+            "--vin-minus": "1e-300",
+        },
+        shots="100",
+        corrupt=False,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_no_traceback_and_documented_exit_codes(self, fuzz_dir, command, flags, shots, corrupt):
+        # Every run ends in exit 0, 1 or 2; nothing escapes cli.main.
+        argv = [command, f"--shots={shots}"]
+        for flag, value in flags.items():
+            if flag in ("--config", "--out"):
+                value = fuzz_dir / value
+            argv.append(f"{flag}={value}")
+        if command == "mc" and corrupt:
+            argv.append("--corrupt-analytic")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in stderr.getvalue()
+        if code == 1:
+            assert stderr.getvalue().startswith("error: "), argv
+        if command == "report" and code == 0 and "--out" not in flags:
+            strict_json(stdout.getvalue())
 
 
 class TestBell:

@@ -150,6 +150,12 @@ class TestTotals:
         assert report.both_violated
 
 
+SUBNORMAL_NOISE = make_custom(
+    QuadratureMap(0.0, (NoiseTerm("p", 1.0, 5e-324),)),
+    QuadratureMap(0.0, (NoiseTerm("q", 1.0, 5e-324),)),
+)
+
+
 class TestFieldCorrelation:
     def test_identity_field(self):
         perfect = make_custom(QuadratureMap(1.0), QuadratureMap(1.0))
@@ -166,6 +172,34 @@ class TestFieldCorrelation:
         expected = 1.5**2 / (2.0 * 3.25)
         assert field_correlation(ASYMMETRIC_DEMO, VACUUM) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.34615384615384615)
+
+    @pytest.mark.parametrize(
+        "teleporter,state,expected",
+        [
+            # A Hypothesis falsifying example: gain**2 * v_in underflows
+            # and the denominator with it (ZeroDivisionError before).
+            (
+                make_custom(QuadratureMap(0.0), QuadratureMap(9.994855906407411e-162)),
+                InputState(0.125, 0.125),
+                0.5,
+            ),
+            # Zero gains and subnormal noise: 0 / (0.2 * 1e-323) was 0 / 0.
+            (SUBNORMAL_NOISE, InputState(0.1, 0.1), 0.0),
+            # Tiny inputs and tiny noise, reachable from the command line:
+            # every fourth-degree product underflows.
+            (make_epr(1.0, 1e-300), InputState(1e-300, 1e-300), 1.0 / 3.0),
+            # Huge inputs: the covariance and input-variance sums overflow.
+            (make_epr(1.0, 0.5), InputState(1.5e308, 1.5e308), 1.0),
+        ],
+        ids=["gain-underflow", "subnormal-noise", "tiny-inputs", "huge-inputs"],
+    )
+    def test_under_and_overflowing_products(self, teleporter, state, expected):
+        assert field_correlation(teleporter, state) == pytest.approx(expected, rel=1e-12)
+
+    def test_classify_with_underflowing_denominator(self):
+        report = classify(SUBNORMAL_NOISE, InputState(0.1, 0.1))
+        assert report.c_f == 0.0
+        assert report.v_cvf == field_conditional_variance(SUBNORMAL_NOISE, InputState(0.1, 0.1))
 
 
 class TestFieldConditionalVariance:
@@ -256,7 +290,7 @@ class TestClassify:
         assert report.c_minus == report.ts_minus
 
     def test_nan_field_conditional_variance_has_no_region(self):
-        # T_s and C_f are inf/inf here; a NaN must not fall through to Strong
+        # T_s is inf/inf and V_cvf inf * 0 here; a NaN must not fall through to Strong
         with pytest.raises(ValueError, match="NaN"):
             classify(make_epr(2.0, 0.5), InputState(1e308, 1e-308))
 

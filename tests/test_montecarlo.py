@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvteleport import montecarlo
 from cvteleport import (
@@ -73,6 +75,33 @@ def replica_block_sum(values):
     for start in range(0, len(values), 8192):
         total += pairwise_sum(values[start : start + 8192])
     return total
+
+
+def per_quantity_se(func, m, sigma):
+    """Delta-method standard error of scalar func(m), one gradient per quantity.
+
+    The route the sampler took before it built one Jacobian for all
+    quantities; kept as the oracle for ``montecarlo._delta_method``.
+    """
+    grad = np.zeros(len(m))
+    for i in range(len(m)):
+        h = 1e-6 * max(abs(m[i]), 1e-3)
+        up = m.copy()
+        dn = m.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (func(up) - func(dn)) / (2 * h)
+    variance = float(grad @ sigma @ grad)
+    return math.sqrt(max(variance, 0.0))
+
+
+def quadrature_moments():
+    """(v_in, v_out, cov) with |cov| < sqrt(v_in * v_out), as sample moments are."""
+    return st.tuples(
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=-0.999, max_value=0.999),
+    ).map(lambda t: (t[0], t[1], t[2] * math.sqrt(t[0] * t[1])))
 
 
 def assert_within_5_sigma(stats, analytic):
@@ -186,6 +215,35 @@ class TestAgreementWithAnalytic:
         for name in ("ts_plus", "vcv_plus", "v_cvf", "v_out_plus", "cov_plus"):
             ratio = getattr(small, name).std_error / getattr(large, name).std_error
             assert ratio == pytest.approx(2.0, rel=0.2), name
+
+
+class TestDeltaMethod:
+    @given(quadrature_moments(), quadrature_moments(), st.integers(min_value=100, max_value=10**8))
+    @settings(max_examples=200, deadline=None)
+    def test_jacobian_matches_per_quantity_gradients(self, plus, minus, n):
+        m = np.array([*plus, *minus])
+        sigma = np.zeros((6, 6))
+        sigma[:3, :3] = montecarlo._moment_covariance(*m[:3], n)
+        sigma[3:, 3:] = montecarlo._moment_covariance(*m[3:], n)
+        estimates = montecarlo._delta_method(montecarlo._criteria_from_moments, m, sigma)
+        values = montecarlo._criteria_from_moments(m)
+        assert [e.value for e in estimates] == [float(v) for v in values]
+        assert [e.std_error for e in estimates] == [
+            per_quantity_se(lambda mm, i=i: montecarlo._criteria_from_moments(mm)[i], m, sigma)
+            for i in range(len(values))
+        ]
+
+    def test_sample_criteria_evaluates_criteria_once_per_jacobian_column(self, monkeypatch):
+        calls = []
+        criteria_from_moments = montecarlo._criteria_from_moments
+
+        def counting(m):
+            calls.append(m)
+            return criteria_from_moments(m)
+
+        monkeypatch.setattr(montecarlo, "_criteria_from_moments", counting)
+        sample_criteria(make_epr(0.9, 0.6), VACUUM, 1000, seed=1)
+        assert len(calls) == 1 + 2 * 6
 
 
 class TestValidation:
