@@ -17,16 +17,20 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict
 from typing import Any
 
-from .criteria import CRITERIA, classical_bound_check, classify
+import numpy as np
+
+from .criteria import CRITERIA, _columns, classical_bound_check, classify
 from .montecarlo import sample_criteria
 from .predictions import BellParams, bell_s, symmetric_output_variance
 from .quadrature import InputState, in_out_covariance, output_variance
 from .teleporter import (
     Family,
     Teleporter,
+    _added_noise,
     make_classical_measure_resend,
     make_epr,
     make_single_mode,
@@ -177,14 +181,24 @@ def _input_state(config: dict[str, Any]) -> InputState:
     )
 
 
+_MAKERS = {
+    Family.EPR: make_epr,
+    Family.SINGLE_MODE: make_single_mode,
+    Family.CLASSICAL: lambda gain, resource: make_classical_measure_resend(gain),
+}
+
+
+def _family(name: str) -> Family:
+    """The built-in family called ``name``."""
+    if name not in _MAKERS:
+        raise ConfigError(f"unknown family: {name}")
+    return Family(name)
+
+
 def _teleporter(family: str, gain: float, resource: float | None) -> Teleporter:
     """Built-in teleporter; the classical family ignores ``resource``."""
-    if family == Family.CLASSICAL.value:
-        return make_classical_measure_resend(gain)
-    make = {Family.EPR.value: make_epr, Family.SINGLE_MODE.value: make_single_mode}.get(family)
-    if make is None:
-        raise ConfigError(f"unknown family: {family}")
-    if resource is None:
+    make = _MAKERS[_family(family)]
+    if resource is None and family != Family.CLASSICAL:
         raise ConfigError("missing required field: resource")
     return make(gain, resource)
 
@@ -214,13 +228,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces: str | Iterable[str], out_path: str | None) -> None:
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
@@ -253,6 +269,73 @@ def _cmd_report(config: dict[str, Any], args: argparse.Namespace) -> int:
 
 SWEEP_HEADER = ",".join(("lambda", "resource", *CRITERIA, "region"))
 
+_SWEEP_CHUNK = 2048  # grid points evaluated, and rows written, at a time
+
+
+def _first_rejected(family: Family, gain: float, resource_grid: list[float]):
+    """(index, error) of the first resource the family's constructor rejects, or None.
+
+    A constructor rejects only resources outside (0, 1] or with an added
+    noise that is not finite, so only those are built.
+    """
+    if family == Family.CLASSICAL:
+        return None  # no resource parameter
+    resources = np.array(resource_grid)
+    with np.errstate(all="ignore"):
+        noise = _added_noise(family, gain, resources)
+    suspects = ~((resources > 0.0) & (resources <= 1.0) & np.isfinite(noise))
+    for j in np.flatnonzero(suspects).tolist():
+        try:
+            _teleporter(family, gain, resource_grid[j])
+        except ValueError as exc:
+            return j, exc
+    return None
+
+
+def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float], state: InputState):
+    """The CRITERIA of the row-major grid, one column per point, and its regions.
+
+    Each point's values are those of ``classify(_teleporter(family, gain,
+    resource), state)``; the error of the first point, in row-major order,
+    that this rejects is raised before anything is returned.
+    """
+    rejected = _first_rejected(family, lambda_grid[0], resource_grid)
+    if rejected is not None:
+        # Only the first row's points before the rejected one can fail earlier.
+        lambda_grid, resource_grid = lambda_grid[:1], resource_grid[: rejected[0]]
+    gains = np.repeat(lambda_grid, len(resource_grid))
+    resources = np.tile(resource_grid, len(lambda_grid))
+    table = np.empty((len(CRITERIA), gains.size))
+    regions = []
+    for start in range(0, gains.size, _SWEEP_CHUNK):
+        gain = gains[start : start + _SWEEP_CHUNK]
+        with np.errstate(all="ignore"):
+            noise = _added_noise(family, gain, resources[start : start + _SWEEP_CHUNK])
+        quads = (
+            (gain, np.full_like(gain, state.v_plus), noise),
+            (gain, np.full_like(gain, state.v_minus), noise),
+        )
+        table[:, start : start + _SWEEP_CHUNK], chunk_regions = _columns(quads)
+        regions += chunk_regions
+    if rejected is not None:
+        raise rejected[1]
+    return table, regions
+
+
+def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[float]):
+    """The sweep CSV, one string per chunk of rows."""
+    gain_text, resource_text = [_fmt(g) for g in lambda_grid], [_fmt(r) for r in resource_grid]
+    yield SWEEP_HEADER + "\n"
+    for start in range(0, len(regions), _SWEEP_CHUNK):
+        lines = []
+        chunk = table[:, start : start + _SWEEP_CHUNK].T.tolist()
+        rows = zip(chunk, regions[start : start + _SWEEP_CHUNK])
+        for point, (values, region) in enumerate(rows, start):
+            i, j = divmod(point, len(resource_text))
+            row = ",".join(map(repr, values))
+            lines.append(f"{gain_text[i]},{resource_text[j]},{row},{region.value}\n")
+        yield "".join(lines)
+
 
 def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:
     family = _value(config, "family", str)
@@ -264,14 +347,9 @@ def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:
     else:
         resource_grid = _grid(config, "sweep.resource")
     state = _input_state(config)
-
-    lines = [SWEEP_HEADER]
-    for gain in lambda_grid:
-        for resource in resource_grid:
-            report = classify(_teleporter(family, gain, resource), state)
-            values = [gain, resource, *(getattr(report, name) for name in CRITERIA)]
-            lines.append(",".join([*map(_fmt, values), report.region.value]))
-    _emit("\n".join(lines) + "\n", out_path)
+    # Every point is evaluated and checked before the output file is opened.
+    table, regions = _sweep(_family(family), lambda_grid, resource_grid, state)
+    _emit(_sweep_text(table, regions, lambda_grid, resource_grid), out_path)
     return 0
 
 

@@ -29,6 +29,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .quadrature import InputState, QuadratureMap, added_noise_variance
 from .teleporter import Teleporter
 
@@ -84,57 +86,63 @@ class CriteriaReport:
     input_minimum_uncertainty: bool
 
 
-def _transfer(qmap: QuadratureMap, v_in: float) -> tuple[float, float, float]:
-    """(T_s, V_out, N) for one quadrature, sharing one added-noise sum."""
+def _quad(qmap: QuadratureMap, v_in: float, transfer: bool = True) -> _Quad:
+    """(gain, V_in, N) of one quadrature; ``transfer`` requires a defined T_s."""
     if not v_in > 0:
         raise ValueError(f"input variance must be > 0, got {v_in}")
     noise = added_noise_variance(qmap)
-    signal_power = qmap.gain * qmap.gain * v_in
-    v_out = signal_power + noise
-    if v_out == 0.0:
+    if transfer and qmap.gain == 0.0 and noise == 0.0:
         raise ValueError("signal transfer undefined: zero gain and zero added noise")
-    return signal_power / v_out, v_out, noise
+    return qmap.gain, v_in, noise
 
 
-def signal_transfer(qmap: QuadratureMap, v_in: float) -> float:
-    """Signal transfer coefficient gain**2 v_in / (gain**2 v_in + N).
-
-    Zero-gain maps transfer no signal (returns 0 when noise is present);
-    a map with zero gain and zero noise has no defined SNR and is rejected.
-    """
-    return _transfer(qmap, v_in)[0]
-
-
-def conditional_variance(qmap: QuadratureMap, v_in: float) -> float:
-    """Conditional variance V_out * (1 - C) of the output given the input.
-
-    C = T_s in this model; algebraically the result equals the added-noise
-    variance N.
-    """
-    ts, v_out, _ = _transfer(qmap, v_in)
-    return v_out * (1.0 - ts)
-
-
-def t_total(teleporter: Teleporter, state: InputState) -> float:
-    """Quadrature sum of signal transfer coefficients, in [0, 2]."""
-    return signal_transfer(teleporter.plus, state.v_plus) + signal_transfer(
-        teleporter.minus, state.v_minus
+def _quads(teleporter: Teleporter, state: InputState, transfer: bool = True) -> tuple[_Quad, _Quad]:
+    return (
+        _quad(teleporter.plus, state.v_plus, transfer),
+        _quad(teleporter.minus, state.v_minus, transfer),
     )
 
 
-def v_total(teleporter: Teleporter, state: InputState) -> float:
-    """Quadrature average of conditional variances."""
-    return 0.5 * (
-        conditional_variance(teleporter.plus, state.v_plus)
-        + conditional_variance(teleporter.minus, state.v_minus)
+def _signal(gain, v_in, noise):
+    """(T_s, V_out, V_cv) of one quadrature, element-wise."""
+    signal = gain * gain * v_in
+    v_out = signal + noise
+    # A noise-free quadrature passes all of its signal, T_s = 1, also where
+    # gain**2 V_in underflows to 0: ``silent`` is 1 there and 0 elsewhere.
+    silent = v_out == 0.0
+    ts = (signal + silent) / (v_out + silent)
+    return ts, v_out, v_out * (1.0 - ts)
+
+
+def _criteria(quads):
+    """Criteria of (gain, V_in, N) per quadrature: one kernel for floats and arrays.
+
+    Each of the six entries of ``quads`` is a float or an array of one shape,
+    and only + - * / touch them, so an array element rounds exactly as the
+    same floats do.  Returns the CRITERIA up to v_t, V_out+ + V_out-, the
+    numerator and denominator of C_f, and whether both are normal floats (a
+    zero covariance sum may square to 0); only then does :func:`_field`
+    divide them.
+    """
+    (g_p, v_p, n_p), (g_m, v_m, n_m) = quads
+    ts_p, v_out_p, vcv_p = _signal(g_p, v_p, n_p)
+    ts_m, v_out_m, vcv_m = _signal(g_m, v_m, n_m)
+    v_out_sum = v_out_p + v_out_m
+    cov_sum = g_p * v_p + g_m * v_m
+    numerator, denominator = cov_sum * cov_sum, (v_p + v_m) * v_out_sum
+    regular = (
+        (_MIN_NORMAL <= denominator)
+        & (denominator < math.inf)
+        & ((cov_sum == 0.0) | ((_MIN_NORMAL <= numerator) & (numerator < math.inf)))
     )
+    values = (ts_p, ts_m, ts_p + ts_m, vcv_p, vcv_m, 0.5 * (vcv_p + vcv_m))
+    return values, v_out_sum, numerator, denominator, regular
 
 
-def _field_sums(quads: Sequence[_Quad]) -> tuple[float, float, float]:
-    """(cov+ + cov-, V_in+ + V_in-, V_out+ + V_out-) from (gain, V_in, N) per quadrature."""
-    (g_p, v_p, noise_p), (g_m, v_m, noise_m) = quads
-    v_out_sum = (g_p * g_p * v_p + noise_p) + (g_m * g_m * v_m + noise_m)
-    return g_p * v_p + g_m * v_m, v_p + v_m, v_out_sum
+def _field(v_out_sum, numerator, denominator):
+    """(C_f, V_cvf), element-wise."""
+    c_f = numerator / denominator
+    return c_f, 0.5 * v_out_sum * (1.0 - c_f)
 
 
 def _rescaled(quads: Sequence[_Quad]) -> list[_Quad]:
@@ -149,44 +157,77 @@ def _rescaled(quads: Sequence[_Quad]) -> list[_Quad]:
     v_in = [v for _, v, _ in quads]
     # 1073 keeps the smaller input variance at or above 2**-1074, the least subnormal.
     a = min(math.frexp(max(v_in))[1], math.frexp(min(v_in))[1] + 1073)
-    # Binary exponent of the largest term of V_out+ + V_out-, within 2; some
-    # term is nonzero, or the output would carry no fluctuations.
-    top = max(
-        [2 * math.frexp(g)[1] + math.frexp(v)[1] for g, v, _ in quads if g]
-        + [math.frexp(n)[1] for _, _, n in quads if n]
-    )
-    e = (top - a) // 2
+    # Binary exponent of the largest term of V_out+ + V_out-, within 2.
+    terms = [2 * math.frexp(g)[1] + math.frexp(v)[1] for g, v, _ in quads if g]
+    terms += [math.frexp(n)[1] for _, _, n in quads if n]
+    if not terms:
+        raise ValueError("field correlation undefined: output carries no fluctuations")
+    e = (max(terms) - a) // 2
     return [(math.ldexp(g, -e), math.ldexp(v, -a), math.ldexp(n, -a - 2 * e)) for g, v, n in quads]
 
 
-def _field_criteria(
-    teleporter: Teleporter, state: InputState, noise_plus: float, noise_minus: float
-) -> tuple[float, float]:
-    """(C_f, V_cvf) given the added-noise variance N of each quadrature."""
-    quads = (
-        (teleporter.plus.gain, state.v_plus, noise_plus),
-        (teleporter.minus.gain, state.v_minus, noise_minus),
-    )
-    cov_sum, v_in_sum, v_out_sum = _field_sums(quads)
-    if v_out_sum == 0.0:
-        raise ValueError("field correlation undefined: output carries no fluctuations")
-    numerator, denominator = cov_sum * cov_sum, v_in_sum * v_out_sum
-    if not (
-        _MIN_NORMAL <= denominator < math.inf
-        and (cov_sum == 0.0 or _MIN_NORMAL <= numerator < math.inf)
-    ):
+def _point(quads: Sequence[_Quad]) -> tuple[float, ...]:
+    """The CRITERIA of one teleporter/input pair, from floats."""
+    values, v_out_sum, numerator, denominator, regular = _criteria(quads)
+    if not regular:
         # A product under- or overflowed: C_f is a ratio of fourth-degree
         # products, so evaluate it again on moments rescaled to near 1.
-        cov_sum, v_in_sum, scaled_sum = _field_sums(_rescaled(quads))
-        numerator, denominator = cov_sum * cov_sum, v_in_sum * scaled_sum
-    c_f = numerator / denominator
-    return c_f, 0.5 * v_out_sum * (1.0 - c_f)
+        numerator, denominator = _criteria(_rescaled(quads))[2:4]
+    return values + _field(v_out_sum, numerator, denominator)
 
 
-def _field(teleporter: Teleporter, state: InputState) -> tuple[float, float]:
-    """(C_f, V_cvf) from the teleporter's own added-noise sums."""
-    noise = (added_noise_variance(teleporter.plus), added_noise_variance(teleporter.minus))
-    return _field_criteria(teleporter, state, *noise)
+def _columns(quads) -> tuple[list[np.ndarray], list[Region]]:
+    """The CRITERIA columns and regions of (gain, V_in, N) arrays per quadrature.
+
+    The six arrays share one shape, and no quadrature has both a zero gain
+    and zero noise.  Entries whose C_f products are not normal are evaluated
+    again by :func:`_point`; the first entry, in C order, whose region is
+    undefined raises its ValueError.
+    """
+    with np.errstate(all="ignore"):  # IEEE results, as the same floats give them
+        values, v_out_sum, numerator, denominator, regular = _criteria(quads)
+        columns = [*values, *_field(v_out_sum, numerator, denominator)]
+    for i in np.flatnonzero(~regular).tolist():
+        point = _point([tuple(x.flat[i].item() for x in quad) for quad in quads])
+        for column, value in zip(columns, point):
+            column.flat[i] = value
+    return columns, [_classify_region(v) for v in columns[-1].ravel().tolist()]
+
+
+def _criterion(
+    name: str, teleporter: Teleporter, state: InputState, transfer: bool = True
+) -> float:
+    """The criterion ``name`` (one of CRITERIA) of a teleporter/input pair."""
+    return _point(_quads(teleporter, state, transfer))[CRITERIA.index(name)]
+
+
+def signal_transfer(qmap: QuadratureMap, v_in: float) -> float:
+    """Signal transfer coefficient gain**2 v_in / (gain**2 v_in + N).
+
+    Zero-gain maps transfer no signal (returns 0 when noise is present) and
+    noise-free maps with a nonzero gain all of it (returns 1); a map with
+    zero gain and zero noise has no defined SNR and is rejected.
+    """
+    return _signal(*_quad(qmap, v_in))[0]
+
+
+def conditional_variance(qmap: QuadratureMap, v_in: float) -> float:
+    """Conditional variance V_out * (1 - C) of the output given the input.
+
+    C = T_s in this model; algebraically the result equals the added-noise
+    variance N.
+    """
+    return _signal(*_quad(qmap, v_in))[2]
+
+
+def t_total(teleporter: Teleporter, state: InputState) -> float:
+    """Quadrature sum of signal transfer coefficients, in [0, 2]."""
+    return _criterion("t_t", teleporter, state)
+
+
+def v_total(teleporter: Teleporter, state: InputState) -> float:
+    """Quadrature average of conditional variances."""
+    return _criterion("v_t", teleporter, state)
 
 
 def field_correlation(teleporter: Teleporter, state: InputState) -> float:
@@ -196,7 +237,7 @@ def field_correlation(teleporter: Teleporter, state: InputState) -> float:
     quadrature moments is (cov+ + cov-)**2 / ((V_in+ + V_in-)(V_out+ + V_out-)).
     1 for identical fields, 0 for independent ones.
     """
-    return _field(teleporter, state)[0]
+    return _criterion("c_f", teleporter, state, transfer=False)
 
 
 def field_conditional_variance(teleporter: Teleporter, state: InputState) -> float:
@@ -204,7 +245,7 @@ def field_conditional_variance(teleporter: Teleporter, state: InputState) -> flo
 
     At least 1 for independent fields.
     """
-    return _field(teleporter, state)[1]
+    return _criterion("v_cvf", teleporter, state, transfer=False)
 
 
 def classical_bound_check(teleporter: Teleporter) -> ClassicalBoundCheck:
@@ -247,25 +288,20 @@ def classify(teleporter: Teleporter, state: InputState) -> CriteriaReport:
     violation of both classical bounds (T_t > 1 and V_t < 1, with a 1e-12
     guard band so boundary cases do not count as violations).
     """
-    ts_p, v_out_p, noise_p = _transfer(teleporter.plus, state.v_plus)
-    ts_m, v_out_m, noise_m = _transfer(teleporter.minus, state.v_minus)
-    vcv_p = v_out_p * (1.0 - ts_p)
-    vcv_m = v_out_m * (1.0 - ts_m)
-    t_t = ts_p + ts_m
-    v_t = 0.5 * (vcv_p + vcv_m)
-    c_f, v_cvf = _field_criteria(teleporter, state, noise_p, noise_m)
+    ts_p, ts_m, t_t, vcv_p, vcv_m, v_t, c_f, v_cvf = _point(_quads(teleporter, state))
+    # Positional: keyword arguments would cost more than the criteria.
     return CriteriaReport(
-        ts_plus=ts_p,
-        ts_minus=ts_m,
-        t_t=t_t,
-        c_plus=ts_p,
-        c_minus=ts_m,
-        vcv_plus=vcv_p,
-        vcv_minus=vcv_m,
-        v_t=v_t,
-        c_f=c_f,
-        v_cvf=v_cvf,
-        region=_classify_region(v_cvf),
-        both_violated=(t_t > 1.0 + BOUNDARY_TOL) and (v_t < 1.0 - BOUNDARY_TOL),
-        input_minimum_uncertainty=state.minimum_uncertainty,
+        ts_p,
+        ts_m,
+        t_t,
+        ts_p,  # c_plus
+        ts_m,  # c_minus
+        vcv_p,
+        vcv_m,
+        v_t,
+        c_f,
+        v_cvf,
+        _classify_region(v_cvf),
+        (t_t > 1.0 + BOUNDARY_TOL) and (v_t < 1.0 - BOUNDARY_TOL),
+        state.minimum_uncertainty,
     )

@@ -78,22 +78,38 @@ def _check_resource(value: float, name: str) -> None:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
-def _two_term_maps(gain: float, v_first: float, v_second: float, stem: str):
-    """Symmetric per-quadrature pair: coefficients (1 +/- gain)/sqrt(2)."""
-    c_plus = (1.0 + gain) * _SQRT_HALF
-    c_minus = (1.0 - gain) * _SQRT_HALF
-    maps = []
-    for quad in ("+", "-"):
-        maps.append(
-            QuadratureMap(
-                gain=gain,
-                noise=(
-                    NoiseTerm(f"{stem}_corr{quad}", c_plus, v_first),
-                    NoiseTerm(f"{stem}_anti{quad}", c_minus, v_second),
-                ),
-            )
-        )
-    return maps[0], maps[1]
+def _noise_terms(family: Family, gain, resource):
+    """(coefficient, variance) of the two latent noise modes of either quadrature.
+
+    Element-wise over floats or arrays; the classical family ignores
+    ``resource`` and the resource is not checked here.
+    """
+    if family is Family.CLASSICAL:
+        # Vacuum-variance measurement penalty and the fresh output field.
+        return (gain, 1.0), (1.0, 1.0)
+    v_first, v_second = RESOURCE_NOISE[family](resource)
+    return ((1.0 + gain) * _SQRT_HALF, v_first), ((1.0 - gain) * _SQRT_HALF, v_second)
+
+
+def _added_noise(family: Family, gain, resource):
+    """Added-noise variance N of either quadrature of a family teleporter.
+
+    Element-wise over floats or arrays.  Each element equals
+    ``added_noise_variance(make_*(gain, resource).plus)`` bit for bit: the
+    same products in the same order, and fsum of two terms is their rounded
+    sum.
+    """
+    (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
+    return c_first * c_first * v_first + c_second * c_second * v_second
+
+
+def _family_maps(family: Family, gain: float, resource: float | None, stems: tuple[str, str]):
+    """The (plus, minus) maps of a family teleporter; mode ids are stem + quadrature."""
+    (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
+    first, second = stems
+    plus = (NoiseTerm(f"{first}+", c_first, v_first), NoiseTerm(f"{second}+", c_second, v_second))
+    minus = (NoiseTerm(f"{first}-", c_first, v_first), NoiseTerm(f"{second}-", c_second, v_second))
+    return QuadratureMap(gain, plus), QuadratureMap(gain, minus)
 
 
 def make_epr(gain: float, v_ent: float) -> Teleporter:
@@ -105,7 +121,7 @@ def make_epr(gain: float, v_ent: float) -> Teleporter:
     (1+gain)**2 * v_ent / 2 + (1-gain)**2 / (2 * v_ent).
     """
     _check_resource(v_ent, "v_ent")
-    plus, minus = _two_term_maps(gain, *RESOURCE_NOISE[Family.EPR](v_ent), "ent")
+    plus, minus = _family_maps(Family.EPR, gain, v_ent, ("ent_corr", "ent_anti"))
     return Teleporter(plus, minus, Family.EPR, gain=gain, resource=v_ent)
 
 
@@ -118,7 +134,7 @@ def make_single_mode(gain: float, v_s: float) -> Teleporter:
     and variances (1+v_s)/2, (1+1/v_s)/2.
     """
     _check_resource(v_s, "v_s")
-    plus, minus = _two_term_maps(gain, *RESOURCE_NOISE[Family.SINGLE_MODE](v_s), "sms")
+    plus, minus = _family_maps(Family.SINGLE_MODE, gain, v_s, ("sms_corr", "sms_anti"))
     return Teleporter(plus, minus, Family.SINGLE_MODE, gain=gain, resource=v_s)
 
 
@@ -130,18 +146,8 @@ def make_classical_measure_resend(gain: float) -> Teleporter:
     fluctuations of the fresh output field (coefficient 1).  Criteria-wise
     this coincides with ``make_epr(gain, 1.0)``.
     """
-    maps = []
-    for quad in ("+", "-"):
-        maps.append(
-            QuadratureMap(
-                gain=gain,
-                noise=(
-                    NoiseTerm(f"meas{quad}", gain, 1.0),
-                    NoiseTerm(f"fresh{quad}", 1.0, 1.0),
-                ),
-            )
-        )
-    return Teleporter(maps[0], maps[1], Family.CLASSICAL, gain=gain, resource=None)
+    plus, minus = _family_maps(Family.CLASSICAL, gain, None, ("meas", "fresh"))
+    return Teleporter(plus, minus, Family.CLASSICAL, gain=gain, resource=None)
 
 
 def make_custom(plus: QuadratureMap, minus: QuadratureMap) -> Teleporter:

@@ -3,14 +3,23 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvteleport import cli
+from cvteleport import (
+    InputState,
+    classify,
+    cli,
+    make_classical_measure_resend,
+    make_epr,
+    make_single_mode,
+)
 
 SWEEP_HEADER = "lambda,resource,ts_plus,ts_minus,t_t,vcv_plus,vcv_minus,v_t,c_f,v_cvf,region"
 
@@ -191,6 +200,151 @@ class TestSweep:
         )
         result = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 1
+
+
+PER_POINT_MAKERS = {
+    "epr": make_epr,
+    "single_mode": make_single_mode,
+    "classical": lambda gain, resource: make_classical_measure_resend(gain),
+}
+
+
+def grid_values(grid):
+    """The CLI's (min, max, steps) grid; endpoints land exactly on min and max."""
+    lo, hi, steps = grid["min"], grid["max"], grid["steps"]
+    if steps == 1:
+        return [lo]
+    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps - 1)] + [hi]
+
+
+def per_point_sweep(config):
+    """(exit code, stderr, CSV) of a sweep built teleporter by teleporter.
+
+    The route the CLI took before it evaluated the grid as arrays: one
+    family teleporter and one ``classify`` call per point, in row-major
+    order, each value written with ``repr``.  An oracle for the array route.
+    """
+    family, sweep, state = config["family"], config["sweep"], config["input"]
+    lines = [SWEEP_HEADER]
+    try:
+        state = InputState(state["v_plus"], state["v_minus"])
+        for gain in grid_values(sweep["lambda"]):
+            for resource in grid_values(sweep["resource"]):
+                report = classify(PER_POINT_MAKERS[family](gain, resource), state)
+                criteria = (getattr(report, name) for name in SWEEP_HEADER.split(",")[2:-1])
+                values = [gain, resource, *criteria]
+                lines.append(",".join([*map(repr, values), report.region.value]))
+    except ValueError as exc:
+        return 1, f"error: {exc}\n", None
+    return 0, "", "\n".join(lines) + "\n"
+
+
+def array_sweep(config, workdir):
+    """(exit code, stderr, CSV) of ``cli.main`` on ``config``; the CSV is None if
+    a pre-existing output file is left as it was."""
+    path, out = workdir / "sweep.json", workdir / "sweep.csv"
+    path.write_text(json.dumps(config))
+    out.write_bytes(b"left as it was\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(["sweep", "--config", str(path), "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    return code, stderr.getvalue(), None if text == "left as it was\n" else text
+
+
+def sweep_config(family, lambda_grid, resource_grid, v_plus=1.0, v_minus=1.0):
+    def grid(values):
+        lo, hi, steps = values
+        return {"min": lo, "max": hi, "steps": steps}
+
+    return {
+        "family": family,
+        "input": {"v_plus": v_plus, "v_minus": v_minus},
+        "sweep": {"lambda": grid(lambda_grid), "resource": grid(resource_grid)},
+    }
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep")
+
+
+SWEEP_GAINS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e-310, -2.2e-308]),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+SWEEP_RESOURCES = st.one_of(
+    st.sampled_from([1.0, 1e-300, 1e-310, 5e-324]),
+    st.floats(min_value=-744.0, max_value=0.0).map(math.exp).filter(lambda r: r > 0.0),
+)
+# Input variances log-uniform over 1e-300..1e300.
+SWEEP_VARIANCES = st.floats(min_value=-690.0, max_value=690.0).map(math.exp)
+# Grid shapes with 1, chunk - 1, chunk and chunk + 1 points for a chunk of 7.
+SWEEP_SHAPES = st.one_of(
+    st.sampled_from([(1, 1), (2, 3), (3, 2), (1, 7), (7, 1), (2, 4), (4, 2), (1, 8)]),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+
+
+def sorted_pair(values):
+    return st.tuples(values, values).map(sorted)
+
+
+class TestArraySweep:
+    """The array route writes the per-point route's bytes, or fails as it fails."""
+
+    @given(
+        family=st.sampled_from(list(PER_POINT_MAKERS)),
+        gains=sorted_pair(SWEEP_GAINS),
+        resources=sorted_pair(SWEEP_RESOURCES),
+        shape=SWEEP_SHAPES,
+        v_plus=SWEEP_VARIANCES,
+        v_minus=SWEEP_VARIANCES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_point_route(
+        self, sweep_dir, family, gains, resources, shape, v_plus, v_minus
+    ):
+        config = sweep_config(family, (*gains, shape[0]), (*resources, shape[1]), v_plus, v_minus)
+        with mock.patch.object(cli, "_SWEEP_CHUNK", 7):
+            assert array_sweep(config, sweep_dir) == per_point_sweep(config)
+
+    @pytest.mark.parametrize("family", ["epr", "single_mode"])
+    @pytest.mark.parametrize("shape", [(1, 1), (23, 89), (32, 64), (3, 683)])
+    def test_chunk_boundaries(self, sweep_dir, family, shape):
+        # 1, chunk - 1, chunk and chunk + 1 points at the CLI's own chunk size
+        assert cli._SWEEP_CHUNK == 2048
+        config = sweep_config(family, (-2.0, 2.0, shape[0]), (0.01, 1.0, shape[1]), 0.3, 1 / 0.3)
+        code, stderr, text = array_sweep(config, sweep_dir)
+        assert (code, stderr, text) == per_point_sweep(config)
+        assert len(text.splitlines()) == 1 + shape[0] * shape[1]
+
+    @pytest.mark.parametrize(
+        "lambda_grid,resource_grid,variance,message",
+        [
+            ((0.0, 2.0, 21), (0.5, 1.5, 3), 1.0, "v_ent must lie in (0, 1], got 1.5"),
+            (
+                (0.0, 2.0, 21),
+                (1e-310, 1.0, 10),
+                1.0,
+                "noise term coefficient and variance must be finite",
+            ),
+            ((0.0, 2.0, 21), (0.1, 1.0, 10), 1.5e308, "region undefined: v_cvf is NaN"),
+            # the first failing point in row-major order decides: a NaN region
+            # before a rejected resource in the first row ...
+            ((1.0, 2.0, 2), (0.5, 1.5, 3), 1.5e308, "region undefined: v_cvf is NaN"),
+            # ... and a rejected resource in the first row before NaN regions
+            # in the second
+            ((0.0, 1.0, 2), (0.5, 1.5, 3), 1.5e308, "v_ent must lie in (0, 1], got 1.5"),
+        ],
+    )
+    def test_failure_leaves_output_unchanged(
+        self, sweep_dir, lambda_grid, resource_grid, variance, message
+    ):
+        config = sweep_config("epr", lambda_grid, resource_grid, variance, variance)
+        expected = (1, f"error: {message}\n", None)
+        assert per_point_sweep(config) == expected
+        assert array_sweep(config, sweep_dir) == expected
 
 
 class TestMc:

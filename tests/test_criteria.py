@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from cvteleport import (
     t_total,
     v_total,
 )
+from cvteleport.criteria import CRITERIA, _columns
 
 VACUUM = InputState(1.0, 1.0)
 
@@ -91,6 +93,11 @@ class TestSignalTransfer:
     def test_zero_gain_zero_noise_is_undefined(self):
         with pytest.raises(ValueError, match="undefined"):
             signal_transfer(QuadratureMap(0.0), 1.0)
+
+    def test_noise_free_tiny_gain_transfers_everything(self):
+        # gain**2 * v_in underflows to 0, but the map adds no noise: T_s = 1
+        assert signal_transfer(QuadratureMap(1e-170), 1.0) == 1.0
+        assert conditional_variance(QuadratureMap(1e-170), 1.0) == 0.0
 
     @pytest.mark.parametrize("gain,noise,v_in", [(1.0, 2.0, 1.0), (0.7, 0.3, 1.3), (-1.2, 1.5, 0.6)])
     def test_equals_squared_correlation(self, gain, noise, v_in):
@@ -294,6 +301,29 @@ class TestClassify:
         with pytest.raises(ValueError, match="NaN"):
             classify(make_epr(2.0, 0.5), InputState(1e308, 1e-308))
 
+    def test_noise_free_tiny_gain(self):
+        report = classify(make_custom(QuadratureMap(1e-170), QuadratureMap(1.0)), VACUUM)
+        assert report.ts_plus == 1.0
+        assert report.vcv_plus == 0.0
+        assert report.c_f == 0.5  # (1e-170 + 1)**2 / (2 * (1e-340 + 1))
+        assert report.region is Region.STRONG
+
+    def test_noise_free_tiny_gains_in_both_quadratures(self):
+        # V_out+ + V_out- underflows to 0; C_f comes from the rescaled moments
+        report = classify(make_custom(QuadratureMap(1e-170), QuadratureMap(-3e-170)), VACUUM)
+        assert (report.ts_plus, report.ts_minus) == (1.0, 1.0)
+        assert report.c_f == pytest.approx(0.2, rel=1e-15)  # (1 - 3)**2 / (2 * (1 + 9))
+        assert report.v_cvf == 0.0
+        assert report.region is Region.STRONG
+
+    def test_zero_gain_zero_noise_quadrature_is_undefined(self):
+        with pytest.raises(ValueError, match="zero gain and zero added noise"):
+            classify(make_custom(QuadratureMap(0.0), QuadratureMap(1.0)), VACUUM)
+
+    def test_silent_teleporter_has_no_field_correlation(self):
+        with pytest.raises(ValueError, match="no fluctuations"):
+            field_correlation(make_custom(QuadratureMap(0.0), QuadratureMap(0.0)), VACUUM)
+
     def test_non_minimum_uncertainty_input_flagged(self):
         report = classify(make_epr(1.0, 1.0), InputState(2.0, 2.0))
         assert not report.input_minimum_uncertainty
@@ -400,3 +430,56 @@ class TestInvariants:
         assert classical_bound_check(teleporter).satisfied
         state = InputState(v_plus, 1.0 / v_plus)
         assert t_total(teleporter, state) <= 1.0 + 1e-9
+
+
+# Magnitudes log-uniform over 1e-300..1e300.
+MAGNITUDES = st.floats(min_value=-690.0, max_value=690.0).map(math.exp)
+KERNEL_GAINS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -1e-170, 1e-160]),
+    st.floats(min_value=-3.0, max_value=3.0),
+    MAGNITUDES,
+)
+KERNEL_NOISES = st.one_of(st.sampled_from([0.0, 5e-324]), MAGNITUDES)
+# (gain, V_in, N) of one quadrature whose T_s is defined.
+KERNEL_QUADS = st.tuples(KERNEL_GAINS, MAGNITUDES, KERNEL_NOISES).filter(
+    lambda quad: quad[0] != 0.0 or quad[2] != 0.0
+)
+
+
+def noise_map(gain: float, noise: float, mode_id: str) -> QuadratureMap:
+    """Map whose added noise is exactly ``noise``: one unit-coefficient term."""
+    return QuadratureMap(gain, (NoiseTerm(mode_id, 1.0, noise),) if noise else ())
+
+
+class TestArrayKernel:
+    @given(st.lists(st.tuples(KERNEL_QUADS, KERNEL_QUADS), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_equal_classify_per_element(self, points):
+        # One kernel: array elements round exactly as classify's floats, the
+        # rare rescaled entries included, and the first undefined region
+        # raises the same error.
+        expected, error = [], None
+        for plus, minus in points:
+            teleporter = make_custom(
+                noise_map(plus[0], plus[2], "p"), noise_map(minus[0], minus[2], "m")
+            )
+            try:
+                report = classify(teleporter, InputState(plus[1], minus[1]))
+            except ValueError as exc:
+                error = str(exc)
+                break
+            expected.append([repr(getattr(report, name)) for name in CRITERIA] + [report.region])
+        quads = [
+            tuple(np.array([point[q][k] for point in points]) for k in range(3)) for q in range(2)
+        ]
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                _columns(quads)
+            assert str(raised.value) == error
+            return
+        columns, regions = _columns(quads)
+        got = [
+            [repr(column[i].item()) for column in columns] + [regions[i]]
+            for i in range(len(points))
+        ]
+        assert got == expected

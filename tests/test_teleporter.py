@@ -1,7 +1,10 @@
 """Tests for the teleporter family constructors."""
 
 import dataclasses
+import math
+import random
 
+import numpy as np
 import pytest
 
 from cvteleport import (
@@ -18,6 +21,7 @@ from cvteleport import (
     make_single_mode,
     t_total,
 )
+from cvteleport.teleporter import _added_noise
 
 VACUUM = InputState(1.0, 1.0)
 
@@ -160,3 +164,37 @@ class TestCustom:
                 QuadratureMap(1.0, (NoiseTerm("shared", 1.0, 1.0),)),
                 QuadratureMap(1.0, (NoiseTerm("shared", 1.0, 1.0),)),
             )
+
+
+NOISE_EDGE_GAINS = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e-170, 0.3]
+NOISE_EDGE_RESOURCES = [1.0, 0.5, 1e-300, 1e-308, 5.6e-309, 2.2250738585072014e-308]
+FAMILY_MAKERS = {
+    Family.EPR: make_epr,
+    Family.SINGLE_MODE: make_single_mode,
+    Family.CLASSICAL: lambda gain, resource: make_classical_measure_resend(gain),
+}
+
+
+class TestAddedNoiseGrid:
+    """The array added noise of the sweep is the constructors' noise, bit for bit."""
+
+    @staticmethod
+    def check(family, gains, resources):
+        gain, resource = (np.array(x, dtype=float).ravel() for x in np.meshgrid(gains, resources))
+        with np.errstate(all="ignore"):
+            noise = _added_noise(family, gain, resource).tolist()
+        for g, r, n in zip(gain.tolist(), resource.tolist(), noise):
+            teleporter = FAMILY_MAKERS[family](g, r)
+            assert repr(n) == repr(added_noise_variance(teleporter.plus)), (family, g, r)
+            assert repr(n) == repr(added_noise_variance(teleporter.minus)), (family, g, r)
+
+    @pytest.mark.parametrize("family", list(FAMILY_MAKERS))
+    def test_edge_grid(self, family):
+        self.check(family, NOISE_EDGE_GAINS, NOISE_EDGE_RESOURCES)
+
+    @pytest.mark.parametrize("family", list(FAMILY_MAKERS))
+    def test_random_grid(self, family):
+        rng = random.Random(f"noise:{family.value}")
+        gains = [rng.uniform(-2.0, 2.0) for _ in range(40)]
+        resources = [math.exp(rng.uniform(math.log(1e-300), 0.0)) for _ in range(40)]
+        self.check(family, gains, resources)
