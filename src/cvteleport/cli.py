@@ -14,6 +14,7 @@ checks passed, 1 usage or configuration error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # argparse builds a fresh namespace per parse, so one parser serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cvteleport", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -5,7 +5,8 @@ and output quadrature records are synthesized from the linear input-output
 relation, and each criterion is re-estimated from sample moments together
 with a delta-method standard error, taken through one central-difference
 Jacobian of all estimates.  The estimates provide an independent statistical
-check of the closed-form results.
+check of the closed-form results.  Each worker samples its blocks into one
+work array that it allocates once and reuses, so no block allocates records.
 
 Determinism contract
 --------------------
@@ -93,7 +94,12 @@ class SignalTransferStats:
     ts_minus_hat: Estimate
 
 
-def _validate(n_shots: int, seed: int) -> None:
+def _validate(n_shots: int, seed: int, workers: int) -> None:
+    for name, value in (("n_shots", n_shots), ("seed", seed), ("workers", workers)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if n_shots < MIN_SHOTS:
         raise ValueError(f"n_shots must be at least {MIN_SHOTS}, got {n_shots}")
     if not 0 <= seed < 2**64:
@@ -120,17 +126,26 @@ def _quadrature_records(
     seed: int,
     block: int,
     length: int,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesize one block of input and output records for one quadrature."""
-    x_in = _stream(seed, "input", quad_tag, block).standard_normal(length)
+    """Synthesize one block of input and output records for one quadrature.
+
+    The records are written into rows 0 and 1 of ``work`` (shape (3, >= length),
+    allocated when absent); row 2 takes each noise draw.
+    """
+    if work is None:
+        work = np.empty((3, length))
+    x_in, x_out, z = work[:, :length]
+    _stream(seed, "input", quad_tag, block).standard_normal(out=x_in)
     x_in *= math.sqrt(v_in)
     if signal != 0.0:
         x_in += signal
-    x_out = qmap.gain * x_in
+    np.multiply(qmap.gain, x_in, out=x_out)
     # Sorted accumulation keeps the record independent of the list order.
     for term in sorted(qmap.noise, key=lambda t: t.mode_id):
-        z = _stream(seed, "noise", term.mode_id, block).standard_normal(length)
-        x_out += (term.coefficient * math.sqrt(term.variance)) * z
+        _stream(seed, "noise", term.mode_id, block).standard_normal(out=z)
+        z *= term.coefficient * math.sqrt(term.variance)
+        x_out += z
     return x_in, x_out
 
 
@@ -146,26 +161,31 @@ def _run_sum(x: np.ndarray) -> float:
 
 
 def _block_sums(
-    teleporter: Teleporter, state: InputState, use_signals: bool, seed: int, bounds: tuple[int, int]
+    teleporter: Teleporter,
+    state: InputState,
+    use_signals: bool,
+    seed: int,
+    bounds: tuple[int, int],
+    work: np.ndarray | None = None,
 ) -> tuple[float, ...]:
+    """The five moment sums of each quadrature over one block, sampled into ``work``."""
     start, stop = bounds
     block = start // BLOCK_SHOTS
     length = stop - start
+    if work is None:
+        work = np.empty((3, length))
+    product = work[2, :length]
     sums: list[float] = []
     for quad in ("+", "-"):
         signal = state.signal(quad) if use_signals else 0.0
         x_in, x_out = _quadrature_records(
-            teleporter.map_for(quad), state.variance(quad), signal, quad, seed, block, length
+            teleporter.map_for(quad), state.variance(quad), signal, quad, seed, block, length, work
         )
-        sums.extend(
-            (
-                _run_sum(x_in),
-                _run_sum(x_in * x_in),
-                _run_sum(x_out),
-                _run_sum(x_out * x_out),
-                _run_sum(x_in * x_out),
-            )
-        )
+        sums.append(_run_sum(x_in))
+        sums.append(_run_sum(np.multiply(x_in, x_in, out=product)))
+        sums.append(_run_sum(x_out))
+        sums.append(_run_sum(np.multiply(x_out, x_out, out=product)))
+        sums.append(_run_sum(np.multiply(x_in, x_out, out=product)))
     return tuple(sums)
 
 
@@ -182,16 +202,22 @@ def _accumulate(
     Each tuple is (mean_out, v_in, v_out, cov), for "+" then "-".
     """
     bounds = _block_bounds(n_shots)
+    workers = min(workers, len(bounds))
+
+    def sample(share: list[tuple[int, int]]) -> list[tuple[float, ...]]:
+        # One work array per worker, reused for every block of its share.
+        work = np.empty((3, min(n_shots, BLOCK_SHOTS)))
+        return [_block_sums(teleporter, state, use_signals, seed, b, work) for b in share]
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(
-                pool.map(lambda b: _block_sums(teleporter, state, use_signals, seed, b), bounds)
-            )
+            shares = list(pool.map(sample, (bounds[k::workers] for k in range(workers))))
+        blocks = [blk for share in shares for blk in share]
     else:
-        blocks = [_block_sums(teleporter, state, use_signals, seed, b) for b in bounds]
+        blocks = sample(bounds)
 
     # fsum of the per-block sums is exactly rounded, hence independent of
-    # both block completion order and worker count.
+    # both the order of the blocks and the worker count.
     totals = [math.fsum(blk[i] for blk in blocks) for i in range(10)]
     n = n_shots
     return [
@@ -269,7 +295,7 @@ def sample_criteria(
     fluctuation quantities); use :func:`sample_signal_transfer` for the
     injected-signal route.
     """
-    _validate(n_shots, seed)
+    _validate(n_shots, seed, workers)
     moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=False)
     m = np.array([*moments[0][1:], *moments[1][1:]])  # (v_in, v_out, cov) per quadrature
     sigma = np.zeros((6, 6))
@@ -294,7 +320,7 @@ def sample_signal_transfer(
     small-signal regime.  At one analysis frequency a DC offset is
     equivalent to a modulated tone for SNR purposes.
     """
-    _validate(n_shots, seed)
+    _validate(n_shots, seed, workers)
     if state.s_plus == 0.0 or state.s_minus == 0.0:
         raise ValueError("both test-signal amplitudes must be nonzero")
     moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=True)

@@ -436,6 +436,45 @@ class TestMcWorkers:
         assert cli.main(["mc", "--config", str(config), *flags]) == 0
         assert seen == [expected]
 
+    def test_each_call_sees_only_its_own_flags(self, tmp_path, monkeypatch, capsys):
+        # The parser is built once per process; no flag may carry over to a later call.
+        # At 20 000 shots the corrupted analytic value fails the 5-sigma gate.
+        config = tmp_path / "mc.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "family": "epr",
+                    "lambda": 1.0,
+                    "resource": 1.0,
+                    "mc": {"shots": 20000, "seed": 42},
+                }
+            )
+        )
+        seen = []
+        sample_criteria = cli.sample_criteria
+
+        def spy(*args, workers):
+            seen.append(workers)
+            return sample_criteria(*args, workers=workers)
+
+        monkeypatch.setattr(cli, "sample_criteria", spy)
+        argv = ["mc", "--config", str(config)]
+        assert cli.main([*argv, "--workers", "3", "--corrupt-analytic"]) == 2
+        assert cli.main(argv) == 0
+        assert cli.main([*argv, "--workers", "2"]) == 0
+        assert cli.main(argv) == 0
+        assert seen == [3, 1, 2, 1]
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_rejects_workers_below_one(self, workers):
+        result = run_cli(
+            "mc", "--family", "epr", "--lambda", "1", "--resource", "1", "--workers", workers
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: workers must be at least 1")
+        assert "Traceback" not in result.stderr
+
 
 EPR_POINT = {"family": "epr", "lambda": 1.0, "resource": 0.5}
 GRID = {"min": 0.5, "max": 1.0, "steps": 2}

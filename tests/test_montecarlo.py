@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo sampling verifier."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cvteleport import (
 
 VACUUM = InputState(1.0, 1.0)
 PERFECT = make_custom(QuadratureMap(1.0), QuadratureMap(1.0))
+SIGNALS = InputState(1.0, 1.0, s_plus=0.1, s_minus=0.1)
 
 
 def analytic_quantities(teleporter, state):
@@ -176,6 +178,55 @@ class TestDeterminism:
         assert sums == tuple(replica)
 
 
+    @pytest.mark.parametrize("use_signals", [False, True])
+    @pytest.mark.parametrize("n_terms", [0, 4])
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0, montecarlo.BLOCK_SHOTS), (montecarlo.BLOCK_SHOTS, montecarlo.BLOCK_SHOTS + 777)],
+    )
+    def test_work_array_gives_the_bits_of_fresh_arrays(self, use_signals, n_terms, bounds):
+        # A full block and a partial last block; the NaN fill shows any read
+        # of a work-array entry that the block did not write first.
+        def qmap(gain, tag):
+            terms = tuple(
+                NoiseTerm(f"{tag}{i}", 0.3 * (i + 1) - 0.7, 0.5 + i) for i in range(n_terms)
+            )
+            return QuadratureMap(gain, terms[::-1])
+
+        teleporter = make_custom(qmap(0.9, "p"), qmap(-1.3, "m"))
+        state = InputState(0.7, 1.6, s_plus=0.05, s_minus=-0.08)
+        work = np.full((3, montecarlo.BLOCK_SHOTS), np.nan)
+        reused = montecarlo._block_sums(teleporter, state, use_signals, 11, bounds, work)
+        assert reused == montecarlo._block_sums(teleporter, state, use_signals, 11, bounds)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 1000])
+    def test_worker_count_never_changes_either_sampler(self, workers):
+        # 140 000 shots are 3 blocks, the last one partial; 4 and 1000
+        # workers exceed the block count and are clamped to it.
+        teleporter = make_epr(0.9, 0.4)
+        state = InputState(1.2, 0.9, s_plus=0.05, s_minus=0.04)
+        assert sample_criteria(teleporter, state, 140_000, 5, workers) == sample_criteria(
+            teleporter, state, 140_000, 5
+        )
+        assert sample_signal_transfer(
+            teleporter, state, 140_000, 5, workers
+        ) == sample_signal_transfer(teleporter, state, 140_000, 5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_is_one_work_array_per_worker(self, workers):
+        # Counted by tracemalloc, which repeats exactly: each worker holds
+        # one (3, BLOCK_SHOTS) work array, and a block allocates no records.
+        teleporter, state, n_shots = make_epr(1.0, 0.5), VACUUM, 4 * montecarlo.BLOCK_SHOTS
+        sample_criteria(teleporter, state, 1000, 1, workers)  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            sample_criteria(teleporter, state, n_shots, 1, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 3 * montecarlo.BLOCK_SHOTS * 8 + 64 * 1024
+
+
 class TestAgreementWithAnalytic:
     @pytest.mark.parametrize(
         "teleporter,state",
@@ -256,6 +307,46 @@ class TestValidation:
             sample_criteria(PERFECT, VACUUM, 1000, seed=-1)
         with pytest.raises(ValueError, match="64-bit"):
             sample_criteria(PERFECT, VACUUM, 1000, seed=2**64)
+
+    @given(
+        sampler=st.sampled_from([sample_criteria, sample_signal_transfer]),
+        name=st.sampled_from(["n_shots", "seed", "workers"]),
+        value=st.one_of(
+            st.booleans(),
+            st.none(),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.text(max_size=3),
+            st.sampled_from([1e4, 2.5, "2", np.int64(1000)]),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_non_int_arguments(self, sampler, name, value):
+        args = {"n_shots": 1000, "seed": 0, "workers": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            sampler(PERFECT, SIGNALS, **args)
+
+    @given(
+        sampler=st.sampled_from([sample_criteria, sample_signal_transfer]),
+        args=st.one_of(
+            st.fixed_dictionaries({"n_shots": st.integers(max_value=montecarlo.MIN_SHOTS - 1)}),
+            st.fixed_dictionaries(
+                {"seed": st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))}
+            ),
+            st.fixed_dictionaries({"workers": st.integers(max_value=0)}),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_out_of_range_arguments(self, sampler, args):
+        with pytest.raises(ValueError, match="at least|64-bit"):
+            sampler(PERFECT, SIGNALS, **{"n_shots": 1000, "seed": 0, "workers": 1, **args})
+
+    @pytest.mark.parametrize("sampler", [sample_criteria, sample_signal_transfer])
+    def test_huge_worker_count_runs_serially(self, sampler):
+        # One block: the worker count is clamped to 1, so no thread starts.
+        n_shots = montecarlo.BLOCK_SHOTS
+        assert sampler(PERFECT, SIGNALS, n_shots, 3, workers=10**9) == sampler(
+            PERFECT, SIGNALS, n_shots, 3
+        )
 
 
 class TestSignalTransferSampling:
