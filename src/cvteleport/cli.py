@@ -9,6 +9,9 @@ flags always override file values.  All output is deterministic: floats are
 serialized with their shortest round-trip representation and the mc command
 is fully determined by config plus seed.  Exit codes: 0 success / all
 checks passed, 1 usage or configuration error, 2 verification failure.
+
+Only ``sweep`` and ``mc`` build arrays, and they import numpy on first use;
+``report``, ``bell`` and ``squeeze`` run without loading it.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from collections.abc import Iterable
 from dataclasses import asdict
 from typing import Any
 
-import numpy as np
-
-from .criteria import CRITERIA, _columns, classical_bound_check, classify
+from .criteria import CRITERIA, Region, _columns, classical_bound_check, classify
 from .montecarlo import sample_criteria
 from .predictions import BellParams, bell_s, symmetric_output_variance
 from .quadrature import InputState, in_out_covariance, output_variance
@@ -280,6 +281,8 @@ def _first_rejected(family: Family, gain: float, resource_grid: list[float]):
     A constructor rejects only resources outside (0, 1] or with an added
     noise that is not finite, so only those are built.
     """
+    import numpy as np
+
     if family == Family.CLASSICAL:
         return None  # no resource parameter
     resources = np.array(resource_grid)
@@ -301,6 +304,8 @@ def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float],
     resource), state)``; the error of the first point, in row-major order,
     that this rejects is raised before anything is returned.
     """
+    import numpy as np
+
     rejected = _first_rejected(family, lambda_grid[0], resource_grid)
     if rejected is not None:
         # Only the first row's points before the rejected one can fail earlier.
@@ -308,35 +313,58 @@ def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float],
     gains = np.repeat(lambda_grid, len(resource_grid))
     resources = np.tile(resource_grid, len(lambda_grid))
     table = np.empty((len(CRITERIA), gains.size))
-    regions = []
+    regions = np.empty(gains.size, dtype=object)
     for start in range(0, gains.size, _SWEEP_CHUNK):
-        gain = gains[start : start + _SWEEP_CHUNK]
+        chunk = slice(start, start + _SWEEP_CHUNK)
+        gain = gains[chunk]
         with np.errstate(all="ignore"):
-            noise = _added_noise(family, gain, resources[start : start + _SWEEP_CHUNK])
+            noise = _added_noise(family, gain, resources[chunk])
         quads = (
             (gain, np.full_like(gain, state.v_plus), noise),
             (gain, np.full_like(gain, state.v_minus), noise),
         )
-        table[:, start : start + _SWEEP_CHUNK], chunk_regions = _columns(quads)
-        regions += chunk_regions
+        table[:, chunk], regions[chunk] = _columns(quads)
     if rejected is not None:
         raise rejected[1]
     return table, regions
 
 
 def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[float]):
-    """The sweep CSV, one string per chunk of rows."""
-    gain_text, resource_text = [_fmt(g) for g in lambda_grid], [_fmt(r) for r in resource_grid]
+    """The sweep CSV, one string per chunk of rows.
+
+    Within a row, each criterion whose float64 bits equal those of an
+    earlier one reuses its text, so each distinct value is formatted once;
+    bits, not ==, so that -0.0 and 0.0 keep their own text.
+    """
+    import numpy as np
+
+    gain_text = np.array([_fmt(g) for g in lambda_grid], dtype=object)
+    resource_text = np.array([_fmt(r) for r in resource_grid], dtype=object)
+    region_text = {region: region.value for region in Region}
+    width = len(CRITERIA)
+    # One row of cells: lambda, resource, the CRITERIA and the region, each
+    # followed by its separator.
+    cells = np.empty((min(_SWEEP_CHUNK, len(regions)), 2 * (width + 3)), dtype=object)
+    cells[:, 1::2] = ","
+    cells[:, -1] = "\n"
     yield SWEEP_HEADER + "\n"
     for start in range(0, len(regions), _SWEEP_CHUNK):
-        lines = []
-        chunk = table[:, start : start + _SWEEP_CHUNK].T.tolist()
-        rows = zip(chunk, regions[start : start + _SWEEP_CHUNK])
-        for point, (values, region) in enumerate(rows, start):
-            i, j = divmod(point, len(resource_text))
-            row = ",".join(map(repr, values))
-            lines.append(f"{gain_text[i]},{resource_text[j]},{row},{region.value}\n")
-        yield "".join(lines)
+        values = np.ascontiguousarray(table[:, start : start + _SWEEP_CHUNK].T)
+        rows = len(values)
+        bits = values.view(np.uint64)
+        # first[r, k]: the first criterion of row r with the bits of criterion k
+        first = (bits[:, :, None] == bits[:, None, :]).argmax(axis=1)
+        own = first == np.arange(width)
+        texts = np.array(list(map(repr, values[own].tolist())), dtype=object)
+        # Index in texts of each value: of a row's own values first, then of all.
+        slots = (np.cumsum(own) - 1).reshape(rows, width)
+        chunk = cells[:rows]
+        i, j = np.divmod(np.arange(start, start + rows), len(resource_grid))
+        chunk[:, 0] = gain_text[i]
+        chunk[:, 2] = resource_text[j]
+        chunk[:, 4:-2:2] = texts[np.take_along_axis(slots, first, axis=1)]
+        chunk[:, -2] = list(map(region_text.__getitem__, regions[start : start + rows].tolist()))
+        yield "".join(chunk.ravel().tolist())
 
 
 def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:

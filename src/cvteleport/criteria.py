@@ -28,17 +28,20 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .quadrature import InputState, QuadratureMap, added_noise_variance
 from .teleporter import Teleporter
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Snap width for region boundaries, which classify upward, and guard band
 # of the classical bounds.
 BOUNDARY_TOL = 1e-12
 
 _MIN_NORMAL = sys.float_info.min
+_MAX_SPREAD = 2.0**1000
 
 # (gain, V_in, N) of one quadrature.
 _Quad = tuple[float, float, float]
@@ -52,6 +55,10 @@ class Region(str, Enum):
     CLASSICAL = "Classical"
     INTERMEDIATE = "Intermediate"
     STRONG = "Strong"
+
+
+# In order of V_cvf: below 1, in [1, 2), at 2 and above (see _region_index).
+_REGIONS = (Region.STRONG, Region.INTERMEDIATE, Region.CLASSICAL)
 
 
 @dataclass(frozen=True)
@@ -121,19 +128,24 @@ def _criteria(quads):
     and only + - * / touch them, so an array element rounds exactly as the
     same floats do.  Returns the CRITERIA up to v_t, V_out+ + V_out-, the
     numerator and denominator of C_f, and whether both are normal floats (a
-    zero covariance sum may square to 0); only then does :func:`_field`
-    divide them.
+    zero covariance sum may square to 0) and V_in+ + V_in- is at most
+    _MAX_SPREAD times V_out+ + V_out-; only then does :func:`_field` divide
+    them.
     """
     (g_p, v_p, n_p), (g_m, v_m, n_m) = quads
     ts_p, v_out_p, vcv_p = _signal(g_p, v_p, n_p)
     ts_m, v_out_m, vcv_m = _signal(g_m, v_m, n_m)
     v_out_sum = v_out_p + v_out_m
     cov_sum = g_p * v_p + g_m * v_m
-    numerator, denominator = cov_sum * cov_sum, (v_p + v_m) * v_out_sum
+    v_in_sum = v_p + v_m
+    numerator, denominator = cov_sum * cov_sum, v_in_sum * v_out_sum
     regular = (
         (_MIN_NORMAL <= denominator)
         & (denominator < math.inf)
         & ((cov_sum == 0.0) | ((_MIN_NORMAL <= numerator) & (numerator < math.inf)))
+        # A subnormal gain**2 is off by up to 2**-1075, which V_in magnifies:
+        # negligible next to V_out+ + V_out- only within this spread.
+        & (v_in_sum <= _MAX_SPREAD * v_out_sum)
     )
     values = (ts_p, ts_m, ts_p + ts_m, vcv_p, vcv_m, 0.5 * (vcv_p + vcv_m))
     return values, v_out_sum, numerator, denominator, regular
@@ -145,45 +157,73 @@ def _field(v_out_sum, numerator, denominator):
     return c_f, 0.5 * v_out_sum * (1.0 - c_f)
 
 
-def _rescaled(quads: Sequence[_Quad]) -> list[_Quad]:
-    """(gain, V_in, N) per quadrature scaled by 2**-e, 2**-a and 2**-(a + 2e).
+def _rescaled(quads: Sequence[_Quad]) -> tuple[float, float]:
+    """The numerator and denominator of C_f from moments scaled by powers of two.
 
-    The powers of two are exact and cancel in C_f.  a brings the larger input
-    variance near 1, or as near as keeps the smaller one from underflowing,
-    and e brings the largest term of V_out+ + V_out- near 1, so that no
-    square or product of the moments under- or overflows.  The exponents are
-    read with frexp, so choosing them overflows nothing either.
+    V_in, cov and V_out are scaled by 2**-a, 2**-(a + e) and 2**-(a + 2e),
+    which cancel in C_f: a brings the larger input variance near 1 and e the
+    largest term of V_out+ + V_out- near 1, so the denominator is a normal
+    float.  Each term is a product of frexp mantissas scaled once by ldexp,
+    so no intermediate under- or overflows (gain * gain alone may where
+    gain**2 V_in does not), and a term that underflows is negligible next to
+    the largest one.
     """
-    v_in = [v for _, v, _ in quads]
-    # 1073 keeps the smaller input variance at or above 2**-1074, the least subnormal.
-    a = min(math.frexp(max(v_in))[1], math.frexp(min(v_in))[1] + 1073)
-    # Binary exponent of the largest term of V_out+ + V_out-, within 2.
-    terms = [2 * math.frexp(g)[1] + math.frexp(v)[1] for g, v, _ in quads if g]
-    terms += [math.frexp(n)[1] for _, _, n in quads if n]
+    parts = [(*math.frexp(g), *math.frexp(v), n) for g, v, n in quads]
+    a = max(ev for _, _, _, ev, _ in parts)
+    # Binary exponent of each term of V_out+ + V_out-, within 3.
+    terms = [2 * eg + ev for mg, eg, _, ev, _ in parts if mg]
+    terms += [math.frexp(n)[1] for *_, n in parts if n]
     if not terms:
         raise ValueError("field correlation undefined: output carries no fluctuations")
     e = (max(terms) - a) // 2
-    return [(math.ldexp(g, -e), math.ldexp(v, -a), math.ldexp(n, -a - 2 * e)) for g, v, n in quads]
+    (v_p, cov_p, out_p), (v_m, cov_m, out_m) = [
+        (
+            math.ldexp(mv, ev - a),
+            math.ldexp(mg * mv, eg + ev - a - e),
+            math.ldexp(mg * mg * mv, 2 * eg + ev - a - 2 * e) + math.ldexp(n, -a - 2 * e),
+        )
+        for mg, eg, mv, ev, n in parts
+    ]
+    denominator = (v_p + v_m) * (out_p + out_m)
+    if denominator == math.inf:
+        raise ValueError("field correlation undefined: the added noise overflows")
+    cov_sum = cov_p + cov_m
+    return cov_sum * cov_sum, denominator
 
 
 def _point(quads: Sequence[_Quad]) -> tuple[float, ...]:
     """The CRITERIA of one teleporter/input pair, from floats."""
     values, v_out_sum, numerator, denominator, regular = _criteria(quads)
     if not regular:
-        # A product under- or overflowed: C_f is a ratio of fourth-degree
-        # products, so evaluate it again on moments rescaled to near 1.
-        numerator, denominator = _criteria(_rescaled(quads))[2:4]
+        # A product under- or overflowed, or lost its precision: C_f is a
+        # ratio of fourth-degree products, so evaluate it again on moments
+        # rescaled to near 1.  Their rounding may carry it past its
+        # Cauchy-Schwarz bound of 1, which would make V_cvf negative.
+        numerator, denominator = _rescaled(quads)
+        numerator = min(numerator, denominator)
     return values + _field(v_out_sum, numerator, denominator)
 
 
-def _columns(quads) -> tuple[list[np.ndarray], list[Region]]:
+def _region_index(v_cvf):
+    """Index into _REGIONS of V_cvf, element-wise; NaN gives 0.
+
+    Boundary values classify upward; the snap width absorbs closed-form
+    rounding (e.g. squared sqrt(2) coefficients landing 4e-16 low).
+    """
+    return (v_cvf >= 1.0 - BOUNDARY_TOL) * 1 + (v_cvf >= 2.0 - BOUNDARY_TOL)
+
+
+def _columns(quads) -> tuple[list[np.ndarray], np.ndarray]:
     """The CRITERIA columns and regions of (gain, V_in, N) arrays per quadrature.
 
     The six arrays share one shape, and no quadrature has both a zero gain
-    and zero noise.  Entries whose C_f products are not normal are evaluated
-    again by :func:`_point`; the first entry, in C order, whose region is
-    undefined raises its ValueError.
+    and zero noise.  Entries that :func:`_criteria` finds not regular are
+    evaluated again by :func:`_point`; the first entry, in C order, whose region is
+    undefined raises its ValueError.  The regions are a flat object array of
+    Region, one per entry in C order.
     """
+    import numpy as np
+
     with np.errstate(all="ignore"):  # IEEE results, as the same floats give them
         values, v_out_sum, numerator, denominator, regular = _criteria(quads)
         columns = [*values, *_field(v_out_sum, numerator, denominator)]
@@ -191,7 +231,11 @@ def _columns(quads) -> tuple[list[np.ndarray], list[Region]]:
         point = _point([tuple(x.flat[i].item() for x in quad) for quad in quads])
         for column, value in zip(columns, point):
             column.flat[i] = value
-    return columns, [_classify_region(v) for v in columns[-1].ravel().tolist()]
+    v_cvf = columns[-1].ravel()
+    nan = np.flatnonzero(np.isnan(v_cvf))
+    if nan.size:
+        _classify_region(v_cvf[nan[0]].item())  # raises the scalar route's ValueError
+    return columns, np.array(_REGIONS, dtype=object)[_region_index(v_cvf)]
 
 
 def _criterion(
@@ -271,13 +315,7 @@ def classical_bound_check(teleporter: Teleporter) -> ClassicalBoundCheck:
 def _classify_region(v_cvf: float) -> Region:
     if math.isnan(v_cvf):
         raise ValueError("region undefined: v_cvf is NaN")
-    # Boundary values classify upward; the snap width absorbs closed-form
-    # rounding (e.g. squared sqrt(2) coefficients landing 4e-16 low).
-    if v_cvf >= 2.0 - BOUNDARY_TOL:
-        return Region.CLASSICAL
-    if v_cvf >= 1.0 - BOUNDARY_TOL:
-        return Region.INTERMEDIATE
-    return Region.STRONG
+    return _REGIONS[_region_index(v_cvf)]
 
 
 def classify(teleporter: Teleporter, state: InputState) -> CriteriaReport:

@@ -7,6 +7,8 @@ with a delta-method standard error, taken through one central-difference
 Jacobian of all estimates.  The estimates provide an independent statistical
 check of the closed-form results.  Each worker samples its blocks into one
 work array that it allocates once and reuses, so no block allocates records.
+numpy, hashlib and the thread pool are imported by the functions that use
+them, so importing this module (and the package) does not load numpy.
 
 Determinism contract
 --------------------
@@ -34,15 +36,15 @@ and the unrecorded numpy under Python 3.10.12 that wrote
 
 from __future__ import annotations
 
-import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .quadrature import InputState, QuadratureMap
 from .teleporter import Teleporter
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BLOCK_SHOTS = 1 << 16
 MIN_SHOTS = 100
@@ -108,6 +110,10 @@ def _validate(n_shots: int, seed: int, workers: int) -> None:
 
 def _stream(seed: int, kind: str, name: str, block: int) -> np.random.Generator:
     """Philox generator for one (stream, block); independent of list order."""
+    import hashlib
+
+    import numpy as np
+
     digest = hashlib.sha256(f"{kind}:{name}".encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
     seq = np.random.SeedSequence([seed, *words, block])
@@ -133,6 +139,8 @@ def _quadrature_records(
     The records are written into rows 0 and 1 of ``work`` (shape (3, >= length),
     allocated when absent); row 2 takes each noise draw.
     """
+    import numpy as np
+
     if work is None:
         work = np.empty((3, length))
     x_in, x_out, z = work[:, :length]
@@ -169,6 +177,8 @@ def _block_sums(
     work: np.ndarray | None = None,
 ) -> tuple[float, ...]:
     """The five moment sums of each quadrature over one block, sampled into ``work``."""
+    import numpy as np
+
     start, stop = bounds
     block = start // BLOCK_SHOTS
     length = stop - start
@@ -201,6 +211,8 @@ def _accumulate(
 
     Each tuple is (mean_out, v_in, v_out, cov), for "+" then "-".
     """
+    import numpy as np
+
     bounds = _block_bounds(n_shots)
     workers = min(workers, len(bounds))
 
@@ -210,6 +222,8 @@ def _accumulate(
         return [_block_sums(teleporter, state, use_signals, seed, b, work) for b in share]
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shares = list(pool.map(sample, (bounds[k::workers] for k in range(workers))))
         blocks = [blk for share in shares for blk in share]
@@ -233,6 +247,8 @@ def _accumulate(
 
 def _moment_covariance(v_in: float, v_out: float, cov: float, n: int) -> np.ndarray:
     """Sampling covariance of (v_in_hat, v_out_hat, cov_hat) under Gaussianity."""
+    import numpy as np
+
     return (
         np.array(
             [
@@ -251,6 +267,8 @@ def _delta_method(func, m: np.ndarray, sigma: np.ndarray) -> list[Estimate]:
     The Jacobian is taken by central differences, two evaluations of ``func``
     per moment; each output's variance is its Jacobian row g as g @ sigma @ g.
     """
+    import numpy as np
+
     values = func(m)
     jacobian = np.empty((len(values), len(m)))
     for i in range(len(m)):
@@ -295,6 +313,8 @@ def sample_criteria(
     fluctuation quantities); use :func:`sample_signal_transfer` for the
     injected-signal route.
     """
+    import numpy as np
+
     _validate(n_shots, seed, workers)
     moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=False)
     m = np.array([*moments[0][1:], *moments[1][1:]])  # (v_in, v_out, cov) per quadrature
@@ -320,6 +340,8 @@ def sample_signal_transfer(
     small-signal regime.  At one analysis frequency a DC offset is
     equivalent to a modulated tone for SNR purposes.
     """
+    import numpy as np
+
     _validate(n_shots, seed, workers)
     if state.s_plus == 0.0 or state.s_minus == 0.0:
         raise ValueError("both test-signal amplitudes must be nonzero")

@@ -8,12 +8,14 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvteleport import (
     InputState,
+    Region,
     classify,
     cli,
     make_classical_measure_resend,
@@ -345,6 +347,98 @@ class TestArraySweep:
         expected = (1, f"error: {message}\n", None)
         assert per_point_sweep(config) == expected
         assert array_sweep(config, sweep_dir) == expected
+
+
+# Values whose float64 bits differ although some compare equal (0.0 and -0.0),
+# differ by one ulp, or sit at the ends of the range; repeated within rows.
+SWEEP_TEXT_VALUES = [
+    0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 0.1,
+    0.30000000000000004, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1e308, math.inf, -math.inf, math.nan,
+]
+SWEEP_TEXT_ROWS = [
+    [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+    [1.0, math.nextafter(1.0, 2.0), 1.0, math.nextafter(1.0, 0.0), 1.0, 1.0, 1.0, 1.0],
+    [2.5] * 8,
+    [-0.0] * 8,
+    [5e-324, -5e-324, 5e-324, 1.7976931348623157e308, 1e-310, 1e-310, -1e308, 5e-324],
+    [math.nan, math.inf, math.nan, -math.inf, math.inf, 0.0, -0.0, math.nan],
+]
+# (len(lambda_grid), len(resource_grid)): 1, chunk - 1, chunk and chunk + 1 rows
+SWEEP_TEXT_SHAPES = [(1, 1), (23, 89), (32, 64), (3, 683)]
+
+
+def reference_sweep_text(table, regions, lambda_grid, resource_grid):
+    """The sweep CSV with every value formatted on its own, row by row."""
+    lines = [SWEEP_HEADER]
+    for point, row in enumerate(table.T.tolist()):
+        i, j = divmod(point, len(resource_grid))
+        values = [lambda_grid[i], resource_grid[j], *row]
+        lines.append(",".join([*map(repr, values), regions[point].value]))
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepText:
+    """The writer formats each distinct value of a row once, yet writes every value's repr."""
+
+    @pytest.mark.parametrize("shape", SWEEP_TEXT_SHAPES)
+    def test_matches_per_value_repr(self, shape):
+        assert cli._SWEEP_CHUNK == 2048
+        rng = np.random.default_rng(sum(shape))
+        rows = shape[0] * shape[1]
+        # Each drawn row takes 8 values from a random 3-value subset, so values repeat.
+        subsets = rng.choice(SWEEP_TEXT_VALUES, size=(rows, 3))
+        table = np.take_along_axis(subsets, rng.integers(0, 3, size=(rows, 8)), axis=1)
+        table[: len(SWEEP_TEXT_ROWS)] = SWEEP_TEXT_ROWS[:rows]
+        table = np.ascontiguousarray(table.T)
+        regions = np.array([list(Region)[k % 3] for k in range(rows)], dtype=object)
+        lambda_grid = np.linspace(-2.0, 2.0, shape[0]).tolist()
+        resource_grid = np.geomspace(1e-300, 1.0, shape[1]).tolist()
+        text = "".join(cli._sweep_text(table, regions, lambda_grid, resource_grid))
+        assert text == reference_sweep_text(table, regions, lambda_grid, resource_grid)
+
+
+# Runs in a fresh interpreter: argv[1] is a sweep config, argv[2] an output path.
+COLD_START = """
+import sys
+
+import cvteleport
+from cvteleport import cli
+from cvteleport import *
+
+assert all(name in globals() for name in cvteleport.__all__)
+for argv in (
+    ["report", "--family", "epr", "--lambda", "1", "--resource", "0.5"],
+    ["bell", "--lambda", "0.5"],
+    ["squeeze", "--lambda", "1", "--vin-plus", "0.3"],
+):
+    assert cli.main(argv) == 0, argv
+teleporter = make_epr(1.0, 0.25)
+classify(teleporter, InputState(1.0, 1.0))
+classical_bound_check(teleporter)
+optimal_gain(Family.EPR, 0.25)
+squeezing_preserved(teleporter, 0.3)
+bell_s(BellParams(s_i=1.5, gain=1.0, v_cvf=0.5))
+assert "numpy" not in sys.modules, "numpy was imported"
+assert cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+mc = ["mc", "--family", "epr", "--lambda", "1", "--resource", "0.5"]
+assert cli.main([*mc, "--shots", "2000", "--seed", "3"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+class TestColdStart:
+    def test_numpy_loads_only_for_arrays(self, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(sweep_config("epr", (0.0, 2.0, 3), (0.1, 1.0, 4))))
+        out = tmp_path / "sweep.csv"
+        result = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(config), str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(out.read_text().splitlines()) == 1 + 3 * 4
 
 
 class TestMc:

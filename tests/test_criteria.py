@@ -1,6 +1,7 @@
 """Tests for the teleportation criteria and region classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from cvteleport import (
     t_total,
     v_total,
 )
-from cvteleport.criteria import CRITERIA, _columns
+from cvteleport.criteria import CRITERIA, _columns, _criteria
 
 VACUUM = InputState(1.0, 1.0)
 
@@ -483,3 +484,68 @@ class TestArrayKernel:
             for i in range(len(points))
         ]
         assert got == expected
+
+
+def exact_field_correlation(point) -> Fraction:
+    """C_f of ((gain, V_in, N) per quadrature) in exact rational arithmetic."""
+    (g_p, v_p, n_p), (g_m, v_m, n_m) = [[Fraction(x) for x in quad] for quad in point]
+    cov_sum = g_p * v_p + g_m * v_m
+    v_out_sum = g_p * g_p * v_p + n_p + g_m * g_m * v_m + n_m
+    return cov_sum * cov_sum / ((v_p + v_m) * v_out_sum)
+
+
+def kernel_teleporter(point):
+    (g_p, _, n_p), (g_m, _, n_m) = point
+    return make_custom(noise_map(g_p, n_p, "p"), noise_map(g_m, n_m, "m"))
+
+
+# (gain, V_in, N) per quadrature: a subnormal gain**2 times a huge V_in, and
+# input variances about 2**2100 apart.  Both gave C_f > 1 and V_cvf < 0.
+EXTREME_SPREADS = [
+    ((1.0, 5e-324, 0.0), (1e-160, 1e308, 0.0)),
+    ((1e-150, 1e308, 0.0), (1.0, 5e-324, 0.0)),
+]
+
+
+class TestRescaledFieldCriteria:
+    @pytest.mark.parametrize("point", EXTREME_SPREADS)
+    def test_extreme_spreads_stay_in_bounds(self, point):
+        teleporter, state = kernel_teleporter(point), InputState(point[0][1], point[1][1])
+        report = classify(teleporter, state)
+        c_f = field_correlation(teleporter, state)
+        v_cvf = field_conditional_variance(teleporter, state)
+        assert (report.c_f, report.v_cvf) == (c_f, v_cvf)
+        assert 0.0 <= c_f <= 1.0
+        assert v_cvf >= 0.0
+        assert c_f == pytest.approx(float(exact_field_correlation(point)), abs=1e-15)
+        assert report.region is Region.STRONG  # V_cvf is below 1e-323
+
+    def test_extreme_spreads_through_columns(self):
+        points = [*EXTREME_SPREADS, ((1.0, 1.0, 1.0), (0.5, 1.0, 1.0))]
+        quads = [
+            tuple(np.array([point[q][k] for point in points]) for k in range(3)) for q in range(2)
+        ]
+        columns, regions = _columns(quads)
+        for i, point in enumerate(points):
+            report = classify(kernel_teleporter(point), InputState(point[0][1], point[1][1]))
+            assert [column[i].item() for column in columns] == [
+                getattr(report, name) for name in CRITERIA
+            ]
+            assert regions[i] is report.region
+        c_f, v_cvf = columns[-2], columns[-1]
+        assert np.all((0.0 <= c_f) & (c_f <= 1.0) & (v_cvf >= 0.0))
+
+    @given(st.tuples(KERNEL_QUADS, KERNEL_QUADS))
+    @settings(max_examples=300, deadline=None)
+    def test_rescaled_c_f_is_exact_to_rounding(self, point):
+        assume(not _criteria(point)[4])  # the entries evaluated on rescaled moments
+        teleporter, state = kernel_teleporter(point), InputState(point[0][1], point[1][1])
+        c_f = field_correlation(teleporter, state)
+        assert 0.0 <= c_f <= 1.0
+        assert abs(Fraction(c_f) - exact_field_correlation(point)) <= 1e-15
+        assert not field_conditional_variance(teleporter, state) < 0.0  # NaN: region undefined
+
+    def test_overflowing_noise_is_undefined(self):
+        loud = QuadratureMap(1.0, (NoiseTerm("a", 1e200, 1.0),))  # N = 1e400
+        with pytest.raises(ValueError, match="added noise overflows"):
+            classify(make_custom(loud, QuadratureMap(1.0)), VACUUM)
