@@ -7,14 +7,21 @@ combined:
   which for these models equals the squared input-output correlation C; the
   quadrature sum T_t = T_s+ + T_s- cannot exceed 1 without entanglement,
 * conditional variance V_cv = V_out * (1 - C), with C = T_s, the residual
-  output noise given the input record; the average
-  V_t = (V_cv+ + V_cv-) / 2 cannot fall below 1 without entanglement.
+  output noise given the input record, which for these maps is the added
+  noise N; the average V_t = (N+ + N-) / 2 cannot fall below 1 without
+  entanglement.
 
 On top of the per-quadrature quantities the module builds the field
 correlation C_f and field conditional variance V_cvf, which quantify how
-well the full field operator (both quadratures jointly) is preserved.  For
-symmetric teleporters V_cvf = V_t; for asymmetric ones they differ and
-V_cvf is the better-behaved measure.
+well the full field operator (both quadratures jointly) is preserved.
+With gains g and input variances v, V_cvf = V_t + v+ v- (g+ - g-)**2 /
+(2 (v+ + v-)), a sum over the two quadratures plus a penalty for gain
+asymmetry only: V_cvf >= V_t, with equality when the gains are equal.
+
+The criteria are evaluated in these forms, which do not cancel.  Where a
+product in them under- or overflows or C_f would round above 1 (extreme
+custom maps and inputs), every criterion is evaluated in exact rational
+arithmetic instead and rounded once.
 
 Operating regions are classified on V_cvf: ``strong`` below 1 (true EPR
 entanglement required, non-classical features can survive), ``intermediate``
@@ -41,7 +48,6 @@ if TYPE_CHECKING:
 BOUNDARY_TOL = 1e-12
 
 _MIN_NORMAL = sys.float_info.min
-_MAX_SPREAD = 2.0**1000
 
 # (gain, V_in, N) of one quadrature.
 _Quad = tuple[float, float, float]
@@ -111,101 +117,88 @@ def _quads(teleporter: Teleporter, state: InputState, transfer: bool = True) -> 
 
 
 def _signal(gain, v_in, noise):
-    """(T_s, V_out, V_cv) of one quadrature, element-wise."""
-    signal = gain * gain * v_in
+    """(T_s, V_out) of one quadrature, element-wise."""
+    signal = gain * (gain * v_in)
     v_out = signal + noise
     # A noise-free quadrature passes all of its signal, T_s = 1, also where
     # gain**2 V_in underflows to 0: ``silent`` is 1 there and 0 elsewhere.
     silent = v_out == 0.0
-    ts = (signal + silent) / (v_out + silent)
-    return ts, v_out, v_out * (1.0 - ts)
+    return (signal + silent) / (v_out + silent), v_out
 
 
 def _criteria(quads):
-    """Criteria of (gain, V_in, N) per quadrature: one kernel for floats and arrays.
+    """The CRITERIA of (gain, V_in, N) per quadrature: one kernel for floats and arrays.
 
     Each of the six entries of ``quads`` is a float or an array of one shape,
-    and only + - * / touch them, so an array element rounds exactly as the
-    same floats do.  Returns the CRITERIA up to v_t, V_out+ + V_out-, the
-    numerator and denominator of C_f, and whether both are normal floats (a
-    zero covariance sum may square to 0) and V_in+ + V_in- is at most
-    _MAX_SPREAD times V_out+ + V_out-; only then does :func:`_field` divide
-    them.
+    and only + - * / and comparisons touch them, so an array element rounds
+    exactly as the same floats do.  Returns the CRITERIA and whether they
+    are regular: the C_f denominator, each nonzero V_out and the factors of
+    the gain-asymmetry term are normal floats, C_f is at most 1 and V_cvf is
+    finite.  Regular values are within a few roundings of the exact ones;
+    the others are for :func:`_exact`.
     """
     (g_p, v_p, n_p), (g_m, v_m, n_m) = quads
-    ts_p, v_out_p, vcv_p = _signal(g_p, v_p, n_p)
-    ts_m, v_out_m, vcv_m = _signal(g_m, v_m, n_m)
-    v_out_sum = v_out_p + v_out_m
+    ts_p, v_out_p = _signal(g_p, v_p, n_p)
+    ts_m, v_out_m = _signal(g_m, v_m, n_m)
     cov_sum = g_p * v_p + g_m * v_m
-    v_in_sum = v_p + v_m
-    numerator, denominator = cov_sum * cov_sum, v_in_sum * v_out_sum
+    numerator, denominator = cov_sum * cov_sum, (v_p + v_m) * (v_out_p + v_out_m)
+    v_t = 0.5 * (n_p + n_m)
+    # V_cvf = V_t plus a gain-asymmetry term, v+ v- (g+ - g-)**2 / (2 (v+ + v-)).
+    share = v_m / (v_p + v_m)
+    scale = v_p * share
+    diff = g_p - g_m
+    # Left to right: where scale and the result are normal, so is each partial product.
+    asymmetry = scale * diff * diff * 0.5
+    v_cvf = v_t + asymmetry
     regular = (
         (_MIN_NORMAL <= denominator)
+        & (numerator <= denominator)
         & (denominator < math.inf)
-        & ((cov_sum == 0.0) | ((_MIN_NORMAL <= numerator) & (numerator < math.inf)))
-        # A subnormal gain**2 is off by up to 2**-1075, which V_in magnifies:
-        # negligible next to V_out+ + V_out- only within this spread.
-        & (v_in_sum <= _MAX_SPREAD * v_out_sum)
+        & ((v_out_p == 0.0) | (_MIN_NORMAL <= v_out_p))
+        & ((v_out_m == 0.0) | (_MIN_NORMAL <= v_out_m))
+        & (_MIN_NORMAL <= share)
+        & (_MIN_NORMAL <= scale)
+        & ((diff == 0.0) | (_MIN_NORMAL <= asymmetry))
+        & (v_cvf < math.inf)
     )
-    values = (ts_p, ts_m, ts_p + ts_m, vcv_p, vcv_m, 0.5 * (vcv_p + vcv_m))
-    return values, v_out_sum, numerator, denominator, regular
+    # A zero denominator is not regular; adding 1 there keeps floats from raising.
+    c_f = numerator / (denominator + (denominator == 0.0))
+    values = (ts_p, ts_m, ts_p + ts_m, n_p, n_m, v_t, c_f, v_cvf)
+    return values, regular
 
 
-def _field(v_out_sum, numerator, denominator):
-    """(C_f, V_cvf), element-wise."""
-    c_f = numerator / denominator
-    return c_f, 0.5 * v_out_sum * (1.0 - c_f)
+def _exact(quads: Sequence[_Quad]) -> tuple[float, ...]:
+    """The CRITERIA of one teleporter/input pair in rational arithmetic, each rounded once."""
+    from fractions import Fraction
 
-
-def _rescaled(quads: Sequence[_Quad]) -> tuple[float, float]:
-    """The numerator and denominator of C_f from moments scaled by powers of two.
-
-    V_in, cov and V_out are scaled by 2**-a, 2**-(a + e) and 2**-(a + 2e),
-    which cancel in C_f: a brings the larger input variance near 1 and e the
-    largest term of V_out+ + V_out- near 1, so the denominator is a normal
-    float.  Each term is a product of frexp mantissas scaled once by ldexp,
-    so no intermediate under- or overflows (gain * gain alone may where
-    gain**2 V_in does not), and a term that underflows is negligible next to
-    the largest one.
-    """
-    parts = [(*math.frexp(g), *math.frexp(v), n) for g, v, n in quads]
-    a = max(ev for _, _, _, ev, _ in parts)
-    # Binary exponent of each term of V_out+ + V_out-, within 3.
-    terms = [2 * eg + ev for mg, eg, _, ev, _ in parts if mg]
-    terms += [math.frexp(n)[1] for *_, n in parts if n]
-    if not terms:
-        raise ValueError("field correlation undefined: output carries no fluctuations")
-    e = (max(terms) - a) // 2
-    (v_p, cov_p, out_p), (v_m, cov_m, out_m) = [
-        (
-            math.ldexp(mv, ev - a),
-            math.ldexp(mg * mv, eg + ev - a - e),
-            math.ldexp(mg * mg * mv, 2 * eg + ev - a - 2 * e) + math.ldexp(n, -a - 2 * e),
-        )
-        for mg, eg, mv, ev, n in parts
-    ]
-    denominator = (v_p + v_m) * (out_p + out_m)
-    if denominator == math.inf:
+    if not all(math.isfinite(n) for _, _, n in quads):
         raise ValueError("field correlation undefined: the added noise overflows")
-    cov_sum = cov_p + cov_m
-    return cov_sum * cov_sum, denominator
+    (g_p, v_p, n_p), (g_m, v_m, n_m) = [[Fraction(x) for x in quad] for quad in quads]
+    s_p, s_m = g_p * g_p * v_p, g_m * g_m * v_m
+    v_out_p, v_out_m = s_p + n_p, s_m + n_m
+    if not v_out_p + v_out_m:
+        raise ValueError("field correlation undefined: output carries no fluctuations")
+    # A noise-free quadrature passes all of its signal, as in _signal.
+    ts_p = s_p / v_out_p if v_out_p else Fraction(1)
+    ts_m = s_m / v_out_m if v_out_m else Fraction(1)
+    v_t = (n_p + n_m) / 2
+    v_cvf = v_t + v_p * v_m * (g_p - g_m) ** 2 / (2 * (v_p + v_m))
+    c_f = (g_p * v_p + g_m * v_m) ** 2 / ((v_p + v_m) * (v_out_p + v_out_m))
+    try:
+        v_cvf = float(v_cvf)
+    except OverflowError:
+        v_cvf = math.inf
+    return (*map(float, (ts_p, ts_m, ts_p + ts_m, n_p, n_m, v_t, c_f)), v_cvf)
 
 
 def _point(quads: Sequence[_Quad]) -> tuple[float, ...]:
     """The CRITERIA of one teleporter/input pair, from floats."""
-    values, v_out_sum, numerator, denominator, regular = _criteria(quads)
-    if not regular:
-        # A product under- or overflowed, or lost its precision: C_f is a
-        # ratio of fourth-degree products, so evaluate it again on moments
-        # rescaled to near 1.  Their rounding may carry it past its
-        # Cauchy-Schwarz bound of 1, which would make V_cvf negative.
-        numerator, denominator = _rescaled(quads)
-        numerator = min(numerator, denominator)
-    return values + _field(v_out_sum, numerator, denominator)
+    values, regular = _criteria(quads)
+    return values if regular else _exact(quads)
 
 
 def _region_index(v_cvf):
-    """Index into _REGIONS of V_cvf, element-wise; NaN gives 0.
+    """Index into _REGIONS of V_cvf, element-wise.
 
     Boundary values classify upward; the snap width absorbs closed-form
     rounding (e.g. squared sqrt(2) coefficients landing 4e-16 low).
@@ -218,24 +211,21 @@ def _columns(quads) -> tuple[list[np.ndarray], np.ndarray]:
 
     The six arrays share one shape, and no quadrature has both a zero gain
     and zero noise.  Entries that :func:`_criteria` finds not regular are
-    evaluated again by :func:`_point`; the first entry, in C order, whose region is
-    undefined raises its ValueError.  The regions are a flat object array of
+    evaluated again by :func:`_exact`; the first entry, in C order, that it
+    rejects raises its ValueError.  The regions are a flat object array of
     Region, one per entry in C order.
     """
     import numpy as np
 
     with np.errstate(all="ignore"):  # IEEE results, as the same floats give them
-        values, v_out_sum, numerator, denominator, regular = _criteria(quads)
-        columns = [*values, *_field(v_out_sum, numerator, denominator)]
+        values, regular = _criteria(quads)
+    columns = list(values)
+    columns[3:5] = [noise.copy() for noise in values[3:5]]  # not the caller's N arrays
     for i in np.flatnonzero(~regular).tolist():
-        point = _point([tuple(x.flat[i].item() for x in quad) for quad in quads])
+        point = _exact([tuple(x.flat[i].item() for x in quad) for quad in quads])
         for column, value in zip(columns, point):
             column.flat[i] = value
-    v_cvf = columns[-1].ravel()
-    nan = np.flatnonzero(np.isnan(v_cvf))
-    if nan.size:
-        _classify_region(v_cvf[nan[0]].item())  # raises the scalar route's ValueError
-    return columns, np.array(_REGIONS, dtype=object)[_region_index(v_cvf)]
+    return columns, np.array(_REGIONS, dtype=object)[_region_index(columns[-1].ravel())]
 
 
 def _criterion(
@@ -252,16 +242,17 @@ def signal_transfer(qmap: QuadratureMap, v_in: float) -> float:
     noise-free maps with a nonzero gain all of it (returns 1); a map with
     zero gain and zero noise has no defined SNR and is rejected.
     """
-    return _signal(*_quad(qmap, v_in))[0]
+    quad = _quad(qmap, v_in)
+    return _point((quad, quad))[0]  # paired with itself, so extreme inputs are exact
 
 
 def conditional_variance(qmap: QuadratureMap, v_in: float) -> float:
     """Conditional variance V_out * (1 - C) of the output given the input.
 
-    C = T_s in this model; algebraically the result equals the added-noise
-    variance N.
+    C = T_s in this model, so V_cv equals the added-noise variance N, which
+    is returned.
     """
-    return _signal(*_quad(qmap, v_in))[2]
+    return _quad(qmap, v_in)[2]
 
 
 def t_total(teleporter: Teleporter, state: InputState) -> float:
@@ -287,7 +278,9 @@ def field_correlation(teleporter: Teleporter, state: InputState) -> float:
 def field_conditional_variance(teleporter: Teleporter, state: InputState) -> float:
     """Field conditional variance (V_out+ + V_out-)/2 * (1 - C_f).
 
-    At least 1 for independent fields.
+    Evaluated as V_t + v+ v- (g+ - g-)**2 / (2 (v+ + v-)): at least V_t,
+    with equality when the gains are equal, and at least 1 for independent
+    fields.
     """
     return _criterion("v_cvf", teleporter, state, transfer=False)
 
@@ -312,12 +305,6 @@ def classical_bound_check(teleporter: Teleporter) -> ClassicalBoundCheck:
     return ClassicalBoundCheck(product=product, satisfied=product >= 1.0 - BOUNDARY_TOL)
 
 
-def _classify_region(v_cvf: float) -> Region:
-    if math.isnan(v_cvf):
-        raise ValueError("region undefined: v_cvf is NaN")
-    return _REGIONS[_region_index(v_cvf)]
-
-
 def classify(teleporter: Teleporter, state: InputState) -> CriteriaReport:
     """Evaluate every criterion and classify the operating region.
 
@@ -339,7 +326,7 @@ def classify(teleporter: Teleporter, state: InputState) -> CriteriaReport:
         v_t,
         c_f,
         v_cvf,
-        _classify_region(v_cvf),
+        _REGIONS[_region_index(v_cvf)],
         (t_t > 1.0 + BOUNDARY_TOL) and (v_t < 1.0 - BOUNDARY_TOL),
         state.minimum_uncertainty,
     )

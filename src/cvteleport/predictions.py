@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .criteria import field_conditional_variance
 from .quadrature import InputState, output_variance
 from .teleporter import RESOURCE_NOISE, Family, Teleporter
 
@@ -55,16 +54,12 @@ def symmetric_output_variance(v_cvf: float, gain: float, v_in: float) -> float:
 def output_variance_symmetric(
     teleporter: Teleporter, state: InputState, quadrature: str = "+"
 ) -> float:
-    """Output variance of one quadrature via the v_cvf + gain**2 v_in form.
+    """Output variance of one quadrature, v_cvf + gain**2 v_in on symmetric teleporters.
 
-    Applies to the symmetric EPR family; other teleporters use the generic
-    gain**2 v_in + N evaluation.
+    There v_cvf equals the added noise N bit for bit, so this is the generic
+    gain**2 v_in + N of :func:`output_variance`, which every teleporter uses.
     """
-    qmap = teleporter.map_for(quadrature)
-    v_in = state.variance(quadrature)
-    if teleporter.family is not Family.EPR or not teleporter.symmetric:
-        return output_variance(qmap, v_in)
-    return symmetric_output_variance(field_conditional_variance(teleporter, state), qmap.gain, v_in)
+    return output_variance(teleporter.map_for(quadrature), state.variance(quadrature))
 
 
 def squeezing_preserved(teleporter: Teleporter, v_in_plus: float) -> bool:

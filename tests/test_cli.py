@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from cvteleport import (
     InputState,
     Region,
+    added_noise_variance,
     classify,
     cli,
     make_classical_measure_resend,
@@ -292,6 +294,9 @@ def sorted_pair(values):
     return st.tuples(values, values).map(sorted)
 
 
+OVERFLOWING_NOISE = "field correlation undefined: the added noise overflows"
+
+
 class TestArraySweep:
     """The array route writes the per-point route's bytes, or fails as it fails."""
 
@@ -331,13 +336,17 @@ class TestArraySweep:
                 1.0,
                 "noise term coefficient and variance must be finite",
             ),
-            ((0.0, 2.0, 21), (0.1, 1.0, 10), 1.5e308, "region undefined: v_cvf is NaN"),
-            # the first failing point in row-major order decides: a NaN region
-            # before a rejected resource in the first row ...
-            ((1.0, 2.0, 2), (0.5, 1.5, 3), 1.5e308, "region undefined: v_cvf is NaN"),
-            # ... and a rejected resource in the first row before NaN regions
-            # in the second
+            # (1 - gain)**2 / (2 v_ent) overflows at gain -2 and v_ent 1e-308
+            ((-2.0, 2.0, 21), (1e-308, 1.0, 10), 1.5e308, OVERFLOWING_NOISE),
+            # the first failing point in row-major order decides: an overflowing
+            # added noise before a rejected resource in the first row ...
+            ((-2.0, -1.0, 2), (1e-308, 1.5, 2), 1.5e308, OVERFLOWING_NOISE),
+            # ... and a rejected resource in the first row before overflowing
+            # noise in the second
             ((0.0, 1.0, 2), (0.5, 1.5, 3), 1.5e308, "v_ent must lie in (0, 1], got 1.5"),
+            # huge inputs before a rejected resource in the first row: their
+            # criteria are finite, so the rejected resource decides
+            ((1.0, 2.0, 2), (0.5, 1.5, 3), 1.5e308, "v_ent must lie in (0, 1], got 1.5"),
         ],
     )
     def test_failure_leaves_output_unchanged(
@@ -347,6 +356,30 @@ class TestArraySweep:
         expected = (1, f"error: {message}\n", None)
         assert per_point_sweep(config) == expected
         assert array_sweep(config, sweep_dir) == expected
+
+    def test_huge_inputs_match_exact_rationals(self, sweep_dir):
+        # gain**2 V_in and the moment sums overflow here, yet every criterion
+        # is finite: T_s = C_f = gain**2 v / (gain**2 v + N), V_cv = V_t =
+        # V_cvf = N for the symmetric teleporter at V_in+ = V_in- = v.
+        config = sweep_config("epr", (0.0, 2.0, 21), (0.1, 1.0, 10), 1.5e308, 1.5e308)
+        code, stderr, text = array_sweep(config, sweep_dir)
+        assert (code, stderr, text) == per_point_sweep(config)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 210
+        v_in = Fraction(1.5e308)
+        for row in rows:
+            gain, resource = float(row[0]), float(row[1])
+            noise = added_noise_variance(make_epr(gain, resource).plus)
+            signal = Fraction(gain) ** 2 * v_in
+            ts_plus, ts_minus, t_t, *variances, c_f, v_cvf = map(float, row[2:-1])
+            transfer = signal / (signal + Fraction(noise))
+            assert abs(Fraction(ts_plus) - transfer) <= 1e-15
+            assert (ts_minus, c_f) == (ts_plus, ts_plus)
+            assert abs(Fraction(t_t) - 2 * transfer) <= 1e-15
+            assert [*variances, v_cvf] == [noise] * 4
+            # the region of V_cvf = N; boundaries classify upward
+            index = (noise >= 1 - 1e-12) + (noise >= 2 - 1e-12)
+            assert row[-1] == ("Strong", "Intermediate", "Classical")[index]
 
 
 # Values whose float64 bits differ although some compare equal (0.0 and -0.0),
@@ -648,7 +681,8 @@ class TestNonFiniteValues:
         [
             ("--lambda", "1", "--resource", "0.5", "--vin-plus", "inf"),
             ("--lambda", "1", "--resource", "0.5", "--vin-minus", "nan"),
-            ("--lambda", "2", "--resource", "0.5", "--vin-plus", "1e308", "--vin-minus", "1e-308"),
+            # (1 - gain)**2 / (2 v_ent) overflows
+            ("--lambda", "-2", "--resource", "1e-308"),
         ],
     )
     def test_non_finite_criteria_exit_1_without_traceback(self, args):
@@ -657,6 +691,38 @@ class TestNonFiniteValues:
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    def test_overflowing_noise_names_its_cause(self):
+        result = run_cli("report", "--family", "epr", "--lambda", "-2", "--resource", "1e-308")
+        assert result.stderr == f"error: {OVERFLOWING_NOISE}\n"
+
+    @pytest.mark.parametrize(
+        "gain,v_plus,v_minus,region",
+        [
+            # gain**2 V_in overflows in the + quadrature and V_in- is tiny
+            # (was a NaN region)
+            (2.0, 1e308, 1e-308, "Classical"),
+            # gain**2 V_in / N is 1e17: V_out (1 - T_s) lost N to 0.0 and
+            # reported Strong
+            (1.0, 1e17, 1e17, "Intermediate"),
+        ],
+        ids=["huge-and-tiny-inputs", "high-signal-to-noise"],
+    )
+    def test_extreme_inputs_report_exact_values(self, gain, v_plus, v_minus, region):
+        # T_s = gain**2 v / (gain**2 v + N) per quadrature, and V_cv = V_t =
+        # V_cvf = N for the symmetric teleporter, rounded once.
+        args = ("--lambda", repr(gain), "--resource", "0.5")
+        args += ("--vin-plus", repr(v_plus), "--vin-minus", repr(v_minus))
+        result = run_cli("report", "--family", "epr", *args)
+        assert result.returncode == 0, result.stderr
+        criteria = strict_json(result.stdout)["criteria"]
+        noise = added_noise_variance(make_epr(gain, 0.5).plus)
+        for name, v_in in (("ts_plus", v_plus), ("ts_minus", v_minus)):
+            signal = Fraction(gain) ** 2 * Fraction(v_in)
+            assert criteria[name] == float(signal / (signal + Fraction(noise)))
+        for name in ("vcv_plus", "vcv_minus", "v_t", "v_cvf"):
+            assert criteria[name] == noise
+        assert criteria["region"] == region
 
 
 FUZZ_NUMBERS = st.one_of(

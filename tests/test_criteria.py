@@ -1,11 +1,12 @@
 """Tests for the teleportation criteria and region classification."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cvteleport import (
@@ -28,7 +29,7 @@ from cvteleport import (
     t_total,
     v_total,
 )
-from cvteleport.criteria import CRITERIA, _columns, _criteria
+from cvteleport.criteria import CRITERIA, _columns, _criteria, _point
 
 VACUUM = InputState(1.0, 1.0)
 
@@ -297,10 +298,16 @@ class TestClassify:
         assert report.c_plus == report.ts_plus
         assert report.c_minus == report.ts_minus
 
-    def test_nan_field_conditional_variance_has_no_region(self):
-        # T_s is inf/inf and V_cvf inf * 0 here; a NaN must not fall through to Strong
-        with pytest.raises(ValueError, match="NaN"):
-            classify(make_epr(2.0, 0.5), InputState(1e308, 1e-308))
+    def test_huge_and_tiny_inputs_classify_exactly(self):
+        # gain**2 V_in overflows in the + quadrature, where the cancelling
+        # forms gave T_s+ = inf/inf and a NaN V_cvf
+        teleporter, state = make_epr(2.0, 0.5), InputState(1e308, 1e-308)
+        noise = added_noise_variance(teleporter.plus)
+        exact = exact_criteria(((2.0, 1e308, noise), (2.0, 1e-308, noise)))
+        report = classify(teleporter, state)
+        assert report.ts_plus == float(exact["ts_plus"]) == 1.0
+        assert report.v_cvf == float(exact["v_cvf"]) == noise
+        assert report.region is Region.CLASSICAL
 
     def test_noise_free_tiny_gain(self):
         report = classify(make_custom(QuadratureMap(1e-170), QuadratureMap(1.0)), VACUUM)
@@ -310,7 +317,7 @@ class TestClassify:
         assert report.region is Region.STRONG
 
     def test_noise_free_tiny_gains_in_both_quadratures(self):
-        # V_out+ + V_out- underflows to 0; C_f comes from the rescaled moments
+        # V_out+ + V_out- underflows to 0; C_f comes from exact rationals
         report = classify(make_custom(QuadratureMap(1e-170), QuadratureMap(-3e-170)), VACUUM)
         assert (report.ts_plus, report.ts_minus) == (1.0, 1.0)
         assert report.c_f == pytest.approx(0.2, rel=1e-15)  # (1 - 3)**2 / (2 * (1 + 9))
@@ -457,8 +464,8 @@ class TestArrayKernel:
     @settings(max_examples=300, deadline=None)
     def test_columns_equal_classify_per_element(self, points):
         # One kernel: array elements round exactly as classify's floats, the
-        # rare rescaled entries included, and the first undefined region
-        # raises the same error.
+        # rare entries evaluated in exact rationals included, and the first
+        # rejected entry raises the same error.
         expected, error = [], None
         for plus, minus in points:
             teleporter = make_custom(
@@ -486,12 +493,30 @@ class TestArrayKernel:
         assert got == expected
 
 
-def exact_field_correlation(point) -> Fraction:
-    """C_f of ((gain, V_in, N) per quadrature) in exact rational arithmetic."""
+def exact_criteria(point) -> dict[str, Fraction]:
+    """The CRITERIA of ((gain, V_in, N) per quadrature) in exact rational arithmetic.
+
+    From the defining forms, not the program's: T_s = gain**2 V_in / V_out,
+    V_cv = V_out (1 - T_s), C_f = (cov+ + cov-)**2 / ((V_in+ + V_in-)(V_out+ +
+    V_out-)) and V_cvf = (V_out+ + V_out-)(1 - C_f) / 2.  Each V_out must be
+    nonzero.
+    """
     (g_p, v_p, n_p), (g_m, v_m, n_m) = [[Fraction(x) for x in quad] for quad in point]
+    out_p, out_m = g_p * g_p * v_p + n_p, g_m * g_m * v_m + n_m
+    ts_p, ts_m = g_p * g_p * v_p / out_p, g_m * g_m * v_m / out_m
+    vcv_p, vcv_m = out_p * (1 - ts_p), out_m * (1 - ts_m)
     cov_sum = g_p * v_p + g_m * v_m
-    v_out_sum = g_p * g_p * v_p + n_p + g_m * g_m * v_m + n_m
-    return cov_sum * cov_sum / ((v_p + v_m) * v_out_sum)
+    c_f = cov_sum * cov_sum / ((v_p + v_m) * (out_p + out_m))
+    values = (ts_p, ts_m, ts_p + ts_m, vcv_p, vcv_m, (vcv_p + vcv_m) / 2, c_f)
+    return dict(zip(CRITERIA, (*values, (out_p + out_m) * (1 - c_f) / 2)))
+
+
+def rounded(value: Fraction) -> float:
+    """``value`` rounded once to a float; inf above the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def kernel_teleporter(point):
@@ -517,7 +542,7 @@ class TestRescaledFieldCriteria:
         assert (report.c_f, report.v_cvf) == (c_f, v_cvf)
         assert 0.0 <= c_f <= 1.0
         assert v_cvf >= 0.0
-        assert c_f == pytest.approx(float(exact_field_correlation(point)), abs=1e-15)
+        assert c_f == pytest.approx(float(exact_criteria(point)["c_f"]), abs=1e-15)
         assert report.region is Region.STRONG  # V_cvf is below 1e-323
 
     def test_extreme_spreads_through_columns(self):
@@ -538,14 +563,118 @@ class TestRescaledFieldCriteria:
     @given(st.tuples(KERNEL_QUADS, KERNEL_QUADS))
     @settings(max_examples=300, deadline=None)
     def test_rescaled_c_f_is_exact_to_rounding(self, point):
-        assume(not _criteria(point)[4])  # the entries evaluated on rescaled moments
+        assume(not _criteria(point)[1])  # the entries evaluated in exact rationals
         teleporter, state = kernel_teleporter(point), InputState(point[0][1], point[1][1])
         c_f = field_correlation(teleporter, state)
         assert 0.0 <= c_f <= 1.0
-        assert abs(Fraction(c_f) - exact_field_correlation(point)) <= 1e-15
-        assert not field_conditional_variance(teleporter, state) < 0.0  # NaN: region undefined
+        assert abs(Fraction(c_f) - exact_criteria(point)["c_f"]) <= 1e-15
+        assert field_conditional_variance(teleporter, state) >= 0.0
 
     def test_overflowing_noise_is_undefined(self):
         loud = QuadratureMap(1.0, (NoiseTerm("a", 1e200, 1.0),))  # N = 1e400
         with pytest.raises(ValueError, match="added noise overflows"):
             classify(make_custom(loud, QuadratureMap(1.0)), VACUUM)
+
+
+# The whole float range: gains over +-[0, 1e308] with subnormals, variances
+# over [5e-324, 1.7e308], and zero added noise.
+FULL_GAINS = st.floats(min_value=-1e308, max_value=1e308)
+FULL_VARIANCES = st.floats(min_value=5e-324, max_value=1.7e308)
+FULL_NOISES = st.one_of(st.just(0.0), FULL_VARIANCES)
+FULL_QUADS = st.tuples(FULL_GAINS, FULL_VARIANCES, FULL_NOISES).filter(
+    lambda quad: quad[0] != 0.0 or quad[2] != 0.0
+)
+
+
+# Points at which the float kernel errs where one condition of its regular
+# rule is dropped, one per condition in the order of the rule (random draws
+# rarely reach them).  The last condition, V_cvf < inf, has none: with a
+# finite C_f denominator, V_cvf <= (V_out+ + V_out-) / 2, so only a sum
+# within a few ulps of the float maximum could let V_cvf round to inf.
+RULE_CASES = [
+    # the C_f denominator is normal
+    ((1e-323, 1.808575764023732e-21, 0.0), (1e-323, 2.2250738585072014e-308, 0.0)),
+    # the C_f numerator is at most its denominator
+    ((3.04361257932785e35, 8.593414837380477e21, 2.1385e-318), (3.0436126097639758e35, 3.9e-232, 0.0)),
+    # the C_f denominator is finite
+    ((4.609016979449601e190, 1.0, 1.2965e-318), (-1.5012072927403926e171, 2.2250738585072014e-308, 0.0)),
+    # V_out+ is 0 or normal
+    ((1e-323, 1.7e308, 1.5e-323), (1e-323, 9.878346118662708e44, 0.0)),
+    # V_out- is 0 or normal
+    ((4.52503e-318, 9.914009293204527e307, 0.0), (4.52503e-318, 8.267638952525432e255, 3.2366e-320)),
+    # v- / (v+ + v-) is normal
+    ((14523620.901848245, 1.885202617369769e69, 0.0), (9.12662964832559e125, 1.9006046267518362e-244, 0.0)),
+    # v+ v- / (v+ + v-) is normal
+    ((-1.3490063677190969e75, 3.39299e-318, 0.0), (1.9419500937415125e278, 1e-323, 2.2250738585072014e-308)),
+    # the gain-asymmetry term is normal where the gains differ
+    ((2.854959130656278e-135, 6.387992896330551e214, 0.0), (4.77723e-318, 8.687599995612693e-55, 0.0)),
+]
+
+
+def examples(points):
+    """Decorator adding each of ``points`` as an explicit Hypothesis example."""
+
+    def add(test):
+        for point in reversed(points):
+            test = example(point)(test)
+        return test
+
+    return add
+
+
+class TestFullRange:
+    @given(st.tuples(FULL_QUADS, FULL_QUADS))
+    @examples(RULE_CASES)
+    @settings(max_examples=1000, deadline=None)
+    def test_criteria_match_exact_rationals(self, point):
+        values = _point(point)
+        report = classify(kernel_teleporter(point), InputState(point[0][1], point[1][1]))
+        assert [repr(getattr(report, name)) for name in CRITERIA] == list(map(repr, values))
+        assert not any(map(math.isnan, values))
+        got, exact = dict(zip(CRITERIA, values)), exact_criteria(point)
+        for name in ("ts_plus", "ts_minus", "t_t", "c_f"):
+            assert abs(Fraction(got[name]) - exact[name]) <= 1e-15, name
+        for name in ("vcv_plus", "vcv_minus", "v_t"):
+            assert got[name] == rounded(exact[name]), name
+        assert 0.0 <= got["c_f"] <= 1.0
+        v_cvf = rounded(exact["v_cvf"])
+        if sys.float_info.min <= v_cvf < math.inf:
+            assert abs(Fraction(got["v_cvf"]) - exact["v_cvf"]) <= 1e-15 * exact["v_cvf"]
+        else:
+            assert got["v_cvf"] == v_cvf
+        # Away from the snapped boundaries, the region of the exact V_cvf.
+        assume(all(abs(exact["v_cvf"] - edge) > 1e-11 for edge in (1, 2)))
+        index = (exact["v_cvf"] >= 1) + (exact["v_cvf"] >= 2)
+        assert report.region is (Region.STRONG, Region.INTERMEDIATE, Region.CLASSICAL)[index]
+
+
+class TestNamedRegressions:
+    """Inputs at which the cancelling forms V_out (1 - T_s) and
+    (V_out+ + V_out-)(1 - C_f) / 2 failed (the high signal-to-noise report
+    is in test_cli.py)."""
+
+    def test_cancelling_field_conditional_variance_at_extreme_spreads(self):
+        # C_f was 1.0000000000000002 and V_cvf -2.99e97
+        point = (
+            (0.5901939487935222, 1e-300, 4.0798285718747535e-98),
+            (1.9320499587706297e111, 7.216267797684877e-110, 0.0),
+        )
+        teleporter, state = kernel_teleporter(point), InputState(point[0][1], point[1][1])
+        exact = exact_criteria(point)
+        c_f = field_correlation(teleporter, state)
+        assert 0.0 <= c_f <= 1.0
+        assert abs(Fraction(c_f) - exact["c_f"]) <= 1e-15
+        # About 1.87e-78, nearly all of it the gain-asymmetry term
+        v_cvf = field_conditional_variance(teleporter, state)
+        assert abs(Fraction(v_cvf) - exact["v_cvf"]) <= 1e-15 * exact["v_cvf"]
+
+    def test_field_conditional_variance_is_finite_at_huge_and_tiny_inputs(self):
+        # was NaN: T_s+ = inf/inf and V_cvf = inf * 0
+        teleporter = make_epr(2.0, 0.5)
+        v_cvf = field_conditional_variance(teleporter, InputState(1e308, 1e-308))
+        assert v_cvf == added_noise_variance(teleporter.plus)  # 3.25 with its rounding
+
+    def test_signal_transfer_with_subnormal_gain_squared(self):
+        # gain * gain is subnormal and 1e308 magnified its rounding: 0.4999972
+        qmap = QuadratureMap(1e-160, (NoiseTerm("a", 1.0, 1e-12),))
+        assert signal_transfer(qmap, 1e308) == pytest.approx(0.5, abs=1e-15)
