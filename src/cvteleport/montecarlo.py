@@ -1,14 +1,16 @@
 """Seeded Monte Carlo verification of the analytic criteria.
 
-Every latent Gaussian mode of a teleporter is sampled shot by shot, input
+Every latent Gaussian mode of a teleporter is sampled shot by shot, and input
 and output quadrature records are synthesized from the linear input-output
-relation, and each criterion is re-estimated from sample moments together
-with a delta-method standard error, taken through one central-difference
-Jacobian of all estimates.  The estimates provide an independent statistical
-check of the closed-form results.  Each worker samples its blocks into one
-work array that it allocates once and reuses, so no block allocates records.
-numpy, hashlib and the thread pool are imported by the functions that use
-them, so importing this module (and the package) does not load numpy.
+relation.  Per quadrature the records give the regression of output on input:
+the least-squares gain g, the input variance V_in and the residual variance N
+(the added noise).  The criteria of these estimates come from the criteria
+kernel, ``criteria._point``; their sampling errors are uncorrelated to first
+order, so each delta-method standard error is a root sum of non-negative
+terms.  The estimates are an independent statistical check of the closed
+forms.  Each worker samples its blocks into one work array that it allocates
+once and reuses.  numpy, hashlib and the thread pool are imported by the
+functions that use them, so importing this module does not load numpy.
 
 Determinism contract
 --------------------
@@ -30,8 +32,7 @@ down to a multiple of 8), and the run results are added left to right.  A
 whole-block ``ndarray.sum()`` would leave the runs to numpy's buffering, which
 differs between builds.  Output is therefore bit-identical across machines
 whose numpy gives the same Philox and ``standard_normal`` streams; numpy 2.4.6
-and the unrecorded numpy under Python 3.10.12 that wrote
-``tests/golden/mc_epr.golden.csv`` both do, and both reproduce that file.
+under Python 3.11.7 wrote ``tests/golden/mc_epr.golden.csv``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,13 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
+from .criteria import _point, _quads, _signal
 from .quadrature import InputState, QuadratureMap
 from .teleporter import Teleporter
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 BLOCK_SHOTS = 1 << 16
@@ -118,10 +122,6 @@ def _stream(seed: int, kind: str, name: str, block: int) -> np.random.Generator:
     words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
     seq = np.random.SeedSequence([seed, *words, block])
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _block_bounds(n_shots: int) -> list[tuple[int, int]]:
-    return [(start, min(start + BLOCK_SHOTS, n_shots)) for start in range(0, n_shots, BLOCK_SHOTS)]
 
 
 def _quadrature_records(
@@ -207,13 +207,14 @@ def _accumulate(
     workers: int,
     use_signals: bool,
 ) -> list[tuple[float, float, float, float]]:
-    """Sample all blocks and reduce them to one moment tuple per quadrature.
+    """Sample all blocks and reduce them to (mean_out, g, V_in, N) per quadrature, + then -.
 
-    Each tuple is (mean_out, v_in, v_out, cov), for "+" then "-".
+    g = cov / V_in and N = V_out - g cov regress the output record on the
+    input record; the moments are unbiased, (n-1) estimators.
     """
     import numpy as np
 
-    bounds = _block_bounds(n_shots)
+    bounds = [(i, min(i + BLOCK_SHOTS, n_shots)) for i in range(0, n_shots, BLOCK_SHOTS)]
     workers = min(workers, len(bounds))
 
     def sample(share: list[tuple[int, int]]) -> list[tuple[float, ...]]:
@@ -234,68 +235,67 @@ def _accumulate(
     # both the order of the blocks and the worker count.
     totals = [math.fsum(blk[i] for blk in blocks) for i in range(10)]
     n = n_shots
-    return [
-        (
-            s1_out / n,
-            (s2_in - s1_in * s1_in / n) / (n - 1),
-            (s2_out - s1_out * s1_out / n) / (n - 1),
-            (s11 - s1_in * s1_out / n) / (n - 1),
-        )
-        for s1_in, s2_in, s1_out, s2_out, s11 in (totals[:5], totals[5:])
-    ]
+    quads = []
+    for quad, (s1_in, s2_in, s1_out, s2_out, s11) in zip("+-", (totals[:5], totals[5:])):
+        v_in = (s2_in - s1_in * s1_in / n) / (n - 1)
+        v_out = (s2_out - s1_out * s1_out / n) / (n - 1)
+        cov = (s11 - s1_in * s1_out / n) / (n - 1)
+        gain = cov / v_in if v_in > 0 else math.inf
+        noise = v_out - gain * cov
+        if not all(map(math.isfinite, (v_in, gain, noise))):
+            raise ValueError(f"the sampled moments of quadrature {quad} leave the float range")
+        quads.append((s1_out / n, gain, v_in, noise))
+    return quads
 
 
-def _moment_covariance(v_in: float, v_out: float, cov: float, n: int) -> np.ndarray:
-    """Sampling covariance of (v_in_hat, v_out_hat, cov_hat) under Gaussianity."""
-    import numpy as np
+def _errors(gain: float, v_in: float, noise: float, n: int) -> tuple[float, float, float]:
+    """Standard errors of one quadrature's (g, V_in, N) estimates from n Gaussian shots.
 
-    return (
-        np.array(
-            [
-                [2 * v_in * v_in, 2 * cov * cov, 2 * v_in * cov],
-                [2 * cov * cov, 2 * v_out * v_out, 2 * v_out * cov],
-                [2 * v_in * cov, 2 * v_out * cov, v_in * v_out + cov * cov],
-            ]
-        )
-        / (n - 1)
-    )
-
-
-def _delta_method(func, m: np.ndarray, sigma: np.ndarray) -> list[Estimate]:
-    """Each output of ``func(m)`` with its delta-method standard error.
-
-    The Jacobian is taken by central differences, two evaluations of ``func``
-    per moment; each output's variance is its Jacobian row g as g @ sigma @ g.
+    Uncorrelated to first order: Var g = N / ((n-1) V_in), Var V_in = 2 V_in**2 / (n-1)
+    and Var N = 2 N**2 / (n-1).
     """
-    import numpy as np
-
-    values = func(m)
-    jacobian = np.empty((len(values), len(m)))
-    for i in range(len(m)):
-        h = 1e-6 * max(abs(m[i]), 1e-3)
-        up = m.copy()
-        dn = m.copy()
-        up[i] += h
-        dn[i] -= h
-        jacobian[:, i] = (np.array(func(up)) - np.array(func(dn))) / (2 * h)
-    return [
-        Estimate(value=float(value), std_error=math.sqrt(max(float(g @ sigma @ g), 0.0)))
-        for value, g in zip(values, jacobian)
-    ]
+    root = math.sqrt(2 / (n - 1))
+    return math.sqrt(abs(noise) / v_in / (n - 1)), v_in * root, abs(noise) * root
 
 
-def _criteria_from_moments(m: np.ndarray) -> tuple[float, ...]:
-    """``_NAMES`` quantities, in order, from (v_in+, v_out+, cov+, v_in-, v_out-, cov-)."""
-    vin_p, vout_p, cov_p, vin_m, vout_m, cov_m = m
-    c_p = cov_p * cov_p / (vin_p * vout_p)
-    c_m = cov_m * cov_m / (vin_m * vout_m)
-    vcv_p = vout_p * (1.0 - c_p)
-    vcv_m = vout_m * (1.0 - c_m)
-    cov_sum = cov_p + cov_m
-    c_f = cov_sum * cov_sum / ((vin_p + vin_m) * (vout_p + vout_m))
-    v_cvf = 0.5 * (vout_p + vout_m) * (1.0 - c_f)
-    v_t = 0.5 * (vcv_p + vcv_m)
-    return c_p, c_m, c_p + c_m, vcv_p, vcv_m, v_t, c_f, v_cvf, vout_p, vout_m, cov_p, cov_m
+def _delta_method(func, params: Sequence[float], errors: Sequence[float]) -> list[Estimate]:
+    """Each output of ``func(params)`` with its delta-method standard error.
+
+    The parameters are uncorrelated, so an output's error is the root sum of
+    squares of derivative times error, which cannot cancel.  Each term is a
+    central difference stepping one standard error of its parameter, which
+    moves the output by about twice that term: resolvable in float64 wherever
+    the error is, also for T_s and C_f a few ulps below 1.  Parameters
+    without error are skipped.
+    """
+    values = func(params)
+    terms: list[list[float]] = [[] for _ in values]
+    for i, (p, error) in enumerate(zip(params, errors)):
+        if error == 0.0:
+            continue
+        if not abs(p) + error < math.inf:
+            raise ValueError(f"delta method undefined: a step from {p} leaves the float range")
+        up, dn = list(params), list(params)
+        up[i], dn[i] = p + error, p - error
+        for k, (a, b) in enumerate(zip(func(up), func(dn))):
+            terms[k].append((a - b) * 0.5)
+    estimates = [Estimate(value, math.hypot(*t)) for value, t in zip(values, terms)]
+    if not all(math.isfinite(e.value) and math.isfinite(e.std_error) for e in estimates):
+        raise ValueError("the estimates or their standard errors leave the float range")
+    return estimates
+
+
+def _quantities(params: Sequence[float]) -> tuple[float, ...]:
+    """``_NAMES`` quantities of (g, V_in, N) per quadrature; the criteria by ``criteria._point``."""
+    g_p, v_p, n_p, g_m, v_m, n_m = params
+    plus, minus = (g_p, v_p, n_p), (g_m, v_m, n_m)
+    return (*_point((plus, minus)), _signal(*plus)[1], _signal(*minus)[1], g_p * v_p, g_m * v_m)
+
+
+def _estimates(quads: Sequence[tuple[float, float, float]], n_shots: int) -> list[Estimate]:
+    """``_NAMES`` quantities of (g, V_in, N) per quadrature, with their errors at n_shots."""
+    errors = [error for quad in quads for error in _errors(*quad, n_shots)]
+    return _delta_method(_quantities, [x for quad in quads for x in quad], errors)
 
 
 def sample_criteria(
@@ -307,22 +307,28 @@ def sample_criteria(
 ) -> SampleStats:
     """Estimate every criterion from n_shots synthesized quadrature records.
 
-    Variances and covariances use the unbiased (n-1) estimator; squared
-    sample correlations stand in for the signal transfer coefficients.
-    Coherent test signals on the input state are ignored here (criteria are
-    fluctuation quantities); use :func:`sample_signal_transfer` for the
-    injected-signal route.
+    Each estimate is a quantity of the sampled (g, V_in, N) (see
+    :func:`_accumulate`) with its plug-in delta-method error.  Test signals
+    are ignored (see :func:`sample_signal_transfer`).  Rounding of the float64
+    moment sums moves N by about 2**-52 V_out, so ValueError is raised where
+    that could reach one standard error, N sqrt(2/(n-1)): where a noisy
+    quadrature's sampled V_out / N is not below sqrt(2/(n-1)) * 2**52 (2.0e13
+    at 100 000 shots).
     """
-    import numpy as np
-
     _validate(n_shots, seed, workers)
+    analytic = _quads(teleporter, state)  # also rejects zero gain with zero noise
+    limit = math.sqrt(2 / (n_shots - 1)) * 2**52
+    quads = []
     moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=False)
-    m = np.array([*moments[0][1:], *moments[1][1:]])  # (v_in, v_out, cov) per quadrature
-    sigma = np.zeros((6, 6))
-    sigma[:3, :3] = _moment_covariance(m[0], m[1], m[2], n_shots)
-    sigma[3:, 3:] = _moment_covariance(m[3], m[4], m[5], n_shots)
-    estimates = _delta_method(_criteria_from_moments, m, sigma)
-    return SampleStats(n_shots, seed, **dict(zip(_NAMES, estimates)))
+    for quad, (_, _, true_noise), (_, gain, v_in, noise) in zip("+-", analytic, moments):
+        v_out = _signal(gain, v_in, noise)[1]
+        if true_noise != 0.0 and not v_out < noise * limit:
+            raise ValueError(
+                f"{n_shots} shots cannot resolve the added noise of quadrature {quad}: sampled "
+                f"V_out {v_out:.3g}, N {noise:.3g}; V_out / N must stay below {limit:.3g}"
+            )
+        quads.append((gain, v_in, noise))
+    return SampleStats(n_shots, seed, *_estimates(quads, n_shots))
 
 
 def sample_signal_transfer(
@@ -340,27 +346,20 @@ def sample_signal_transfer(
     small-signal regime.  At one analysis frequency a DC offset is
     equivalent to a modulated tone for SNR purposes.
     """
-    import numpy as np
-
     _validate(n_shots, seed, workers)
     if state.s_plus == 0.0 or state.s_minus == 0.0:
         raise ValueError("both test-signal amplitudes must be nonzero")
     moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=True)
 
     estimates = []
-    for quad, (mean_out, v_in, v_out, cov) in zip("+-", moments):
-        # Fluctuation moments: means subtracted, so the DC signal does not
-        # bias the variance path.
-        m = np.array([mean_out, v_out, v_in])
-        sigma = np.zeros((3, 3))
-        sigma[0, 0] = v_out / n_shots
-        # The (v_out, v_in) block of the (v_in, v_out, cov) covariance.
-        sigma[1:, 1:] = _moment_covariance(v_in, v_out, cov, n_shots)[np.ix_((1, 0), (1, 0))]
-        s = state.signal(quad)
+    for quad, (mean_out, *quad_params) in zip("+-", moments):
+        def ratio(p: Sequence[float], s: float = state.signal(quad)) -> tuple[float]:
+            # (mean_out**2 / V_out) / (s**2 / V_in); inf, refused, where V_out rounds to 0
+            mean, gain, v_in, noise = p
+            v_out = _signal(gain, v_in, noise)[1]
+            return ((mean / s) * (mean / s) * v_in / v_out if v_out else math.inf,)
 
-        def ratio(mm: np.ndarray, s2: float = s * s) -> tuple[float]:
-            # SNR_out / SNR_in = (mean_out**2 / v_out) / (s**2 / v_in)
-            return ((mm[0] * mm[0] / mm[1]) / (s2 / mm[2]),)
-
-        estimates += _delta_method(ratio, m, sigma)
+        # The sample mean is independent of the (g, V_in, N) estimates.
+        errors = (math.sqrt(_signal(*quad_params)[1] / n_shots), *_errors(*quad_params, n_shots))
+        estimates += _delta_method(ratio, (mean_out, *quad_params), errors)
     return SignalTransferStats(n_shots, seed, *estimates)

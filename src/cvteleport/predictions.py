@@ -9,6 +9,7 @@ a given resource.  In all three, V_cvf < 1 is the decisive threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .quadrature import InputState, output_variance
@@ -30,6 +31,8 @@ class BellParams:
     v_cvf: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.s_i, self.gain, self.v_cvf))):
+            raise ValueError("Bell parameters s_i, gain and v_cvf must be finite")
         if self.s_i > 1.5:
             raise ValueError(f"s_i cannot exceed 1.5, got {self.s_i}")
         if self.v_cvf < 0:
@@ -92,7 +95,10 @@ def bell_s(params: BellParams) -> float:
             f"v_cvf={params.v_cvf}, gain={params.gain}"
         )
     numerator = 0.5 * (params.v_cvf - 1.0) + params.gain * params.gain * (params.s_i + 0.5)
-    return numerator / denominator
+    s = numerator / denominator
+    if not math.isfinite(s):
+        raise ValueError(f"Bell correlation undefined: S is {s} at gain={params.gain}")
+    return s
 
 
 def optimal_gain(family: Family, resource: float) -> OptimalGain:
@@ -114,4 +120,6 @@ def optimal_gain(family: Family, resource: float) -> OptimalGain:
     big_a, big_b = noise(resource)
     gain = (big_b - big_a) / (big_a + big_b)
     minimum = 2.0 * big_a * big_b / (big_a + big_b)
+    if not (math.isfinite(gain) and math.isfinite(minimum)):
+        raise ValueError(f"optimal gain undefined: the noise of resource {resource} overflows")
     return OptimalGain(gain=gain, v_cvf_min=minimum)

@@ -101,16 +101,20 @@ class InputState:
 def added_noise_variance(qmap: QuadratureMap) -> float:
     """Total added-noise variance N = sum of coefficient**2 * variance.
 
-    fsum makes the result independent of the noise-term ordering.
+    fsum makes the result independent of the noise-term ordering.  Finite
+    terms whose sum overflows raise ValueError.
     """
-    return math.fsum(t.coefficient * t.coefficient * t.variance for t in qmap.noise)
+    try:
+        return math.fsum(t.coefficient * t.coefficient * t.variance for t in qmap.noise)
+    except OverflowError:
+        raise ValueError("added noise undefined: the sum of the noise terms overflows") from None
 
 
 def output_variance(qmap: QuadratureMap, v_in: float) -> float:
     """Output quadrature variance gain**2 * v_in + N for input variance v_in."""
     if not v_in > 0:
         raise ValueError(f"input variance must be > 0, got {v_in}")
-    return qmap.gain * qmap.gain * v_in + added_noise_variance(qmap)
+    return qmap.gain * (qmap.gain * v_in) + added_noise_variance(qmap)
 
 
 def in_out_covariance(qmap: QuadratureMap, v_in: float) -> float:

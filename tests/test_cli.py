@@ -521,6 +521,28 @@ class TestMc:
         assert result.returncode == 2
         assert any(line.endswith(",FAIL") for line in result.stdout.splitlines())
 
+    # High and low signal-to-noise, where the raw-moment delta method
+    # reported false FAILs, and past the float64 resolution limit.
+    @pytest.mark.parametrize(
+        "family,v_in,seed,code,passed",
+        [
+            ("epr", "1e10", "1", 0, 12),
+            ("epr", "1e-12", "2", 0, 12),
+            ("single_mode", "1e-4", "4", 0, 12),
+            ("epr", "1e300", "1", 1, 0),
+        ],
+    )
+    def test_signal_to_noise_regressions(self, family, v_in, seed, code, passed):
+        point = ["--family", family, "--lambda", "1", "--resource", "0.5", "--shots", "100000"]
+        result = run_cli("mc", *point, "--vin-plus", v_in, "--vin-minus", v_in, "--seed", seed)
+        assert result.returncode == code, result.stderr
+        assert sum(line.endswith(",PASS") for line in result.stdout.splitlines()) == passed
+        assert "Traceback" not in result.stderr
+        if code == 1:
+            assert result.stderr.startswith("error: ")
+        else:
+            assert "12/12 PASS" in result.stderr
+
     def test_deterministic_table(self, tmp_path):
         args = (
             "mc",

@@ -79,22 +79,48 @@ def replica_block_sum(values):
     return total
 
 
-def per_quantity_se(func, m, sigma):
-    """Delta-method standard error of scalar func(m), one gradient per quantity.
+def per_quantity_se(func, params, n):
+    """Delta-method standard error of scalar func(params), one gradient per quantity.
 
-    The route the sampler took before it built one Jacobian for all
-    quantities; kept as the oracle for ``montecarlo._delta_method``.
+    ``params`` is (g, V_in, N) per quadrature; their first-order sampling
+    errors, sqrt(N / ((n-1) V_in)), V_in sqrt(2/(n-1)) and N sqrt(2/(n-1)),
+    are uncorrelated.  The oracle for ``montecarlo._delta_method``, stepping
+    one standard error per parameter; ``hypot`` keeps tiny derivative terms
+    from underflowing when squared.
     """
-    grad = np.zeros(len(m))
-    for i in range(len(m)):
-        h = 1e-6 * max(abs(m[i]), 1e-3)
-        up = m.copy()
-        dn = m.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (func(up) - func(dn)) / (2 * h)
-    variance = float(grad @ sigma @ grad)
-    return math.sqrt(max(variance, 0.0))
+    root = math.sqrt(2 / (n - 1))
+    errors = []
+    for g, v_in, noise in (params[:3], params[3:]):
+        errors += [math.sqrt(noise / ((n - 1) * v_in)), v_in * root, noise * root]
+    terms = []
+    for i, error in enumerate(errors):
+        if error == 0.0:
+            continue
+        up = list(params)
+        dn = list(params)
+        up[i] += error
+        dn[i] -= error
+        terms.append((func(up) - func(dn)) / (2 * error) * error)
+    return math.hypot(*terms)
+
+
+def criteria_from_moments(v_in_p, v_out_p, cov_p, v_in_m, v_out_m, cov_m):
+    """``SampleStats`` quantities, in order, in their defining raw-moment forms."""
+    c_p = cov_p * cov_p / (v_in_p * v_out_p)
+    c_m = cov_m * cov_m / (v_in_m * v_out_m)
+    vcv_p = v_out_p * (1.0 - c_p)
+    vcv_m = v_out_m * (1.0 - c_m)
+    cov_sum = cov_p + cov_m
+    c_f = cov_sum * cov_sum / ((v_in_p + v_in_m) * (v_out_p + v_out_m))
+    v_cvf = 0.5 * (v_out_p + v_out_m) * (1.0 - c_f)
+    v_t = 0.5 * (vcv_p + vcv_m)
+    return c_p, c_m, c_p + c_m, vcv_p, vcv_m, v_t, c_f, v_cvf, v_out_p, v_out_m, cov_p, cov_m
+
+
+def regression(v_in, v_out, cov):
+    """(g, V_in, N) of one quadrature's moments, as the sampler forms them."""
+    gain = cov / v_in
+    return gain, v_in, v_out - gain * cov
 
 
 def quadrature_moments():
@@ -272,29 +298,104 @@ class TestDeltaMethod:
     @given(quadrature_moments(), quadrature_moments(), st.integers(min_value=100, max_value=10**8))
     @settings(max_examples=200, deadline=None)
     def test_jacobian_matches_per_quantity_gradients(self, plus, minus, n):
-        m = np.array([*plus, *minus])
-        sigma = np.zeros((6, 6))
-        sigma[:3, :3] = montecarlo._moment_covariance(*m[:3], n)
-        sigma[3:, 3:] = montecarlo._moment_covariance(*m[3:], n)
-        estimates = montecarlo._delta_method(montecarlo._criteria_from_moments, m, sigma)
-        values = montecarlo._criteria_from_moments(m)
-        assert [e.value for e in estimates] == [float(v) for v in values]
-        assert [e.std_error for e in estimates] == [
-            per_quantity_se(lambda mm, i=i: montecarlo._criteria_from_moments(mm)[i], m, sigma)
-            for i in range(len(values))
-        ]
+        params = [*regression(*plus), *regression(*minus)]
+        estimates = montecarlo._estimates([params[:3], params[3:]], n)
+        values = montecarlo._quantities(params)
+        assert [e.value for e in estimates] == list(values)
+        for i, estimate in enumerate(estimates):
+            oracle = per_quantity_se(lambda p, i=i: montecarlo._quantities(p)[i], params, n)
+            assert estimate.std_error == pytest.approx(oracle, rel=1e-12), i
+
+    @given(quadrature_moments(), quadrature_moments())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_route_matches_the_defining_moment_forms(self, plus, minus):
+        # The sampler takes the criteria of (g, V_in, N) from the criteria
+        # kernel; the defining forms in raw moments are the oracle.  |corr|
+        # <= 0.999 bounds the cancellation in 1 - C to a factor of 500.
+        kernel = montecarlo._quantities([*regression(*plus), *regression(*minus)])
+        for name, got, want in zip(montecarlo._NAMES, kernel, criteria_from_moments(*plus, *minus)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), name
+
+    def test_noise_free_parameters_are_skipped(self, monkeypatch):
+        # Zero N: zero errors for g and N, so only each V_in is differentiated.
+        quads = [(1.0, 1.0, 0.0), (0.5, 2.0, 0.0)]
+        assert [montecarlo._errors(*quad, 1000)[::2] for quad in quads] == [(0.0, 0.0)] * 2
+        calls = []
+        quantities = montecarlo._quantities
+        monkeypatch.setattr(montecarlo, "_quantities", lambda p: calls.append(p) or quantities(p))
+        estimates = montecarlo._estimates(quads, 1000)
+        assert len(calls) == 1 + 2 * 2
+        assert (estimates[3].std_error, estimates[4].std_error) == (0.0, 0.0)  # V_cv = N = 0
 
     def test_sample_criteria_evaluates_criteria_once_per_jacobian_column(self, monkeypatch):
         calls = []
-        criteria_from_moments = montecarlo._criteria_from_moments
+        point = montecarlo._point
 
-        def counting(m):
-            calls.append(m)
-            return criteria_from_moments(m)
+        def counting(quads):
+            calls.append(quads)
+            return point(quads)
 
-        monkeypatch.setattr(montecarlo, "_criteria_from_moments", counting)
+        monkeypatch.setattr(montecarlo, "_point", counting)
         sample_criteria(make_epr(0.9, 0.6), VACUUM, 1000, seed=1)
         assert len(calls) == 1 + 2 * 6
+
+
+class TestResolutionLimit:
+    # Float64 moment sums resolve N only while V_out / N < sqrt(2/(n-1)) * 2**52:
+    # 2.01e13 at 100 000 shots, 1.01e13 at 400 000.  make_epr(1, 0.5) has N = 1,
+    # and the sampled V_out / N spreads by under 1 %, so 10 % either side is sure.
+    @pytest.mark.parametrize(
+        "n_shots,passing,failing", [(100_000, 1.8e13, 2.2e13), (400_000, 9e12, 1.1e13)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_both_sides_of_the_limit(self, n_shots, passing, failing, seed):
+        teleporter = make_epr(1.0, 0.5)
+        state = InputState(passing, passing)
+        stats = sample_criteria(teleporter, state, n_shots, seed)
+        assert_within_5_sigma(stats, analytic_quantities(teleporter, state))
+        with pytest.raises(ValueError, match="cannot resolve the added noise"):
+            sample_criteria(teleporter, InputState(failing, failing), n_shots, seed)
+
+    def test_noise_absorbed_by_rounding_is_refused(self):
+        # At V_in = 1e300 the unit noise rounds away in every output record,
+        # so the sampled N is 0; the map is noisy, so that is no exact zero.
+        with pytest.raises(ValueError, match="cannot resolve the added noise"):
+            sample_criteria(make_epr(1.0, 0.5), InputState(1e300, 1e300), 10_000, 1)
+
+    def test_noise_free_map_has_no_limit(self):
+        stats = sample_criteria(PERFECT, InputState(1e300, 1e-300), 10_000, 5)
+        assert (stats.vcv_plus.value, stats.vcv_minus.value, stats.c_f.value) == (0.0, 0.0, 1.0)
+
+    @given(
+        gain=st.floats(min_value=-1e3, max_value=1e3),
+        coefficient=st.floats(min_value=-1e3, max_value=1e3),
+        noise=st.floats(min_value=1e-300, max_value=1e300),
+        v_plus=st.floats(min_value=5e-324, max_value=1.7e308),
+        v_minus=st.floats(min_value=5e-324, max_value=1.7e308),
+        signal=st.floats(min_value=-1e150, max_value=1e150).filter(bool),
+    )
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_samplers_return_finite_numbers_or_raise_value_error(
+        self, gain, coefficient, noise, v_plus, v_minus, signal
+    ):
+        try:
+            teleporter = make_custom(
+                QuadratureMap(gain, (NoiseTerm("a", coefficient, noise),)),
+                QuadratureMap(-gain, (NoiseTerm("b", 1.0, noise),)),
+            )
+        except ValueError:
+            return
+        state = InputState(v_plus, v_minus, s_plus=signal, s_minus=signal)
+        for sampler in (sample_criteria, sample_signal_transfer):
+            try:
+                stats = sampler(teleporter, state, 200, 3)
+            except ValueError:
+                continue
+            for estimate in vars(stats).values():
+                if isinstance(estimate, montecarlo.Estimate):
+                    assert math.isfinite(estimate.value), (sampler, estimate)
+                    assert math.isfinite(estimate.std_error), (sampler, estimate)
 
 
 class TestValidation:

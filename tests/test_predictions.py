@@ -1,5 +1,7 @@
 """Tests for squeezing survival, Bell correlations, and optimal gain."""
 
+import math
+
 import pytest
 from scipy.optimize import minimize_scalar
 
@@ -135,6 +137,17 @@ class TestBellS:
         with pytest.raises(ValueError, match="nonnegative"):
             BellParams(s_i=1.5, gain=1.0, v_cvf=-0.1)
 
+    @pytest.mark.parametrize("field", ["s_i", "gain", "v_cvf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_params(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            BellParams(**{"s_i": 1.5, "gain": 1.0, "v_cvf": 0.5, field: value})
+
+    def test_rejects_overflowing_gain(self):
+        # gain**2 overflows, so numerator and denominator are both inf
+        with pytest.raises(ValueError, match="Bell correlation undefined"):
+            bell_s(BellParams(s_i=1.5, gain=1e200, v_cvf=0.5))
+
 
 def numeric_gain_search(family: Family, resource: float) -> tuple[float, float]:
     """Derivative-free oracle: minimize v_cvf through the full pipeline."""
@@ -181,6 +194,12 @@ class TestOptimalGain:
             optimal_gain(Family.EPR, 0.0)
         with pytest.raises(ValueError, match=r"resource must lie in \(0, 1\]"):
             optimal_gain(Family.SINGLE_MODE, 1.2)
+
+    @pytest.mark.parametrize("family", [Family.EPR, Family.SINGLE_MODE])
+    def test_rejects_resource_whose_noise_overflows(self, family):
+        # 1 / 5e-324 overflows, so the closed form would give NaN
+        with pytest.raises(ValueError, match="optimal gain undefined"):
+            optimal_gain(family, 5e-324)
 
     def test_rejects_other_families(self):
         with pytest.raises(ValueError, match="epr and single_mode"):

@@ -12,6 +12,7 @@ from cvteleport import (
     NoiseTerm,
     QuadratureMap,
     added_noise_variance,
+    classify,
     in_out_covariance,
     make_custom,
     output_variance,
@@ -115,6 +116,13 @@ class TestAddedNoiseVariance:
         )
         assert added_noise_variance(qmap) == pytest.approx(0.5, abs=1e-12)
 
+    def test_sum_past_the_float_range_raises_value_error(self):
+        loud = QuadratureMap(1.0, (NoiseTerm("a", 1e154, 1.0), NoiseTerm("b", 1e154, 1.0)))
+        with pytest.raises(ValueError, match="overflows"):
+            added_noise_variance(loud)
+        with pytest.raises(ValueError, match="overflows"):
+            classify(make_custom(loud, QuadratureMap(1.0)), InputState(1.0, 1.0))
+
 
 class TestOutputVariance:
     def test_identity_map(self):
@@ -131,6 +139,10 @@ class TestOutputVariance:
     def test_rejects_nonpositive_input_variance(self):
         with pytest.raises(ValueError, match="must be > 0"):
             output_variance(QuadratureMap(1.0), 0.0)
+
+    def test_subnormal_gain_squared_keeps_precision(self):
+        # gain * (gain * v_in): gain**2 = 1e-320 alone is subnormal and keeps 4 digits.
+        assert output_variance(QuadratureMap(1e-160), 1e308) == 1e-12
 
 
 class TestInOutCovariance:
@@ -156,7 +168,15 @@ class TestInOutCovariance:
 class TestProperties:
     @given(quadrature_maps(), st.floats(min_value=1e-3, max_value=10.0))
     def test_output_variance_at_least_signal_part(self, qmap, v_in):
-        assert output_variance(qmap, v_in) >= qmap.gain * qmap.gain * v_in
+        # Exact rationals: V_out is gain**2 v_in + N to within four roundings
+        # of its non-negative terms (each 2**-53 relative, or an absolute
+        # 2**-1075 where it underflows), so at least the signal part gain**2 v_in.
+        signal = Fraction(qmap.gain) ** 2 * Fraction(v_in)
+        noise = sum(Fraction(t.coefficient) ** 2 * Fraction(t.variance) for t in qmap.noise)
+        slack = (signal + noise) / 2**51 + Fraction(10, 2**1074)
+        v_out = Fraction(output_variance(qmap, v_in))
+        assert abs(v_out - (signal + noise)) <= slack
+        assert v_out >= signal - slack
 
     @given(
         quadrature_maps(),
