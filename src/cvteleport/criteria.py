@@ -33,11 +33,10 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .quadrature import InputState, QuadratureMap, added_noise_variance
+from .quadrature import InputState, QuadratureMap, _frozen, added_noise_variance
 from .teleporter import Teleporter
 
 if TYPE_CHECKING:
@@ -67,7 +66,7 @@ class Region(str, Enum):
 _REGIONS = (Region.STRONG, Region.INTERMEDIATE, Region.CLASSICAL)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ClassicalBoundCheck:
     """Result of the classical-channel added-noise bound test."""
 
@@ -75,7 +74,7 @@ class ClassicalBoundCheck:
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@_frozen
 class CriteriaReport:
     """All criteria for one teleporter/input pair, plus the region tag.
 

@@ -38,11 +38,11 @@ under Python 3.11.7 wrote ``tests/golden/mc_epr.golden.csv``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from .criteria import _point, _quads, _signal
-from .quadrature import InputState, QuadratureMap
+from .quadrature import InputState, QuadratureMap, _frozen
 from .teleporter import Teleporter
 
 if TYPE_CHECKING:
@@ -56,13 +56,13 @@ MIN_SHOTS = 100
 SUM_RUN = 1 << 13
 
 
-@dataclass(frozen=True)
+@_frozen
 class Estimate:
     value: float
     std_error: float
 
 
-@dataclass(frozen=True)
+@_frozen
 class SampleStats:
     """Monte Carlo criteria estimates with delta-method standard errors."""
 
@@ -90,7 +90,7 @@ class SampleStats:
 _NAMES = tuple(f.name for f in fields(SampleStats) if f.type == "Estimate")
 
 
-@dataclass(frozen=True)
+@_frozen
 class SignalTransferStats:
     """Injected-test-signal estimates of the signal transfer coefficients."""
 
@@ -220,7 +220,9 @@ def _accumulate(
     def sample(share: list[tuple[int, int]]) -> list[tuple[float, ...]]:
         # One work array per worker, reused for every block of its share.
         work = np.empty((3, min(n_shots, BLOCK_SHOTS)))
-        return [_block_sums(teleporter, state, use_signals, seed, b, work) for b in share]
+        # Records that overflow are refused below, with their quadrature named.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [_block_sums(teleporter, state, use_signals, seed, b, work) for b in share]
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

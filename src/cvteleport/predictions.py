@@ -10,13 +10,12 @@ a given resource.  In all three, V_cvf < 1 is the decisive threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .quadrature import InputState, output_variance
+from .quadrature import InputState, _frozen, output_variance
 from .teleporter import RESOURCE_NOISE, Family, Teleporter
 
 
-@dataclass(frozen=True)
+@_frozen
 class BellParams:
     """Inputs for the post-teleportation Clauser-Horne correlation.
 
@@ -39,7 +38,7 @@ class BellParams:
             raise ValueError(f"v_cvf must be nonnegative, got {self.v_cvf}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class OptimalGain:
     gain: float
     v_cvf_min: float
@@ -76,8 +75,7 @@ def squeezing_preserved(teleporter: Teleporter, v_in_plus: float) -> bool:
         raise ValueError("squeezing preservation is defined for symmetric EPR teleporters")
     if not 0 < v_in_plus < 1:
         raise ValueError(f"input must be squeezed (0 < v_in_plus < 1), got {v_in_plus}")
-    state = InputState(v_plus=v_in_plus, v_minus=1.0 / v_in_plus)
-    return output_variance_symmetric(teleporter, state, "+") < 1.0
+    return output_variance(teleporter.plus, v_in_plus) < 1.0
 
 
 def bell_s(params: BellParams) -> float:

@@ -4,18 +4,46 @@ An optical quadrature fluctuation is modelled as a linear combination of
 statistically independent, zero-mean Gaussian latent modes.  All variances
 are in shot-noise units (vacuum = 1), so V = 1 marks the quantum/classical
 boundary throughout the package.  Every type here is an immutable value and
-every operation a pure function.
+every operation a pure function.  The package's value types are frozen
+dataclasses whose ``__init__`` writes the fields straight into the instance
+dict and then validates them (see ``_frozen``); a ``QuadratureMap`` takes
+its added noise and its set of mode ids once, when built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 MIN_UNCERTAINTY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _frozen(cls):
+    """``dataclass(frozen=True)`` whose ``__init__`` writes the fields into ``__dict__``.
+
+    The dataclass's own ``__init__`` sets each field through ``object.__setattr__``;
+    this one has the same parameters, defaults and annotations, stores each field
+    with one item assignment to the instance dict and then calls ``__post_init__``,
+    if any.  Fields must be init fields with at most a plain default.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = [f.name for f in fields(cls)]
+    # Item by item, in field order, the dict keeps the class's shared keys: faster
+    # than one dict.update, and about half its memory.  No field can be named
+    # ``__dict``: the class body would have mangled it.
+    body = "__dict = self.__dict__" + "".join(f"; __dict[{n!r}] = {n}" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "; self.__post_init__()"
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(names)}): {body}", namespace)
+    init, generated = namespace["__init__"], cls.__init__
+    init.__defaults__, init.__annotations__ = generated.__defaults__, generated.__annotations__
+    init.__qualname__ = generated.__qualname__
+    cls.__init__ = init
+    return cls
+
+
+@_frozen
 class NoiseTerm:
     """One independent latent Gaussian noise source entering a quadrature.
 
@@ -37,15 +65,14 @@ class NoiseTerm:
             raise ValueError("noise term coefficient and variance must be finite")
 
 
-@dataclass(frozen=True)
+@_frozen
 class QuadratureMap:
     """Input-output relation for one quadrature: out = gain * in + noise.
 
     ``gain`` is the real signal gain from input to output quadrature;
     ``noise`` lists the independent added-noise contributions.  The noise
-    terms are kept as an explicit list (not pre-summed) so a sampling
-    verifier can draw each latent mode individually; analytic operations
-    reduce over the list.
+    terms are kept as an explicit list so a sampling verifier can draw each
+    latent mode individually; their sum N is taken once, at construction.
     """
 
     gain: float
@@ -54,17 +81,27 @@ class QuadratureMap:
     def __post_init__(self) -> None:
         if not math.isfinite(self.gain):
             raise ValueError("gain must be finite")
-        object.__setattr__(self, "noise", tuple(self.noise))
-        ids = [term.mode_id for term in self.noise]
-        if len(set(ids)) != len(ids):
+        noise = tuple(self.noise)
+        ids, squares = [], []
+        for term in noise:
+            ids.append(term.mode_id)
+            squares.append(term.coefficient * term.coefficient * term.variance)
+        mode_ids = frozenset(ids)
+        if len(mode_ids) != len(ids):
             raise ValueError(f"noise mode_ids must be pairwise distinct, got {ids}")
+        try:
+            total = math.fsum(squares)
+        except OverflowError:
+            total = None  # finite terms whose sum overflows
+        d = self.__dict__
+        d["noise"], d["_mode_ids"], d["_noise"] = noise, mode_ids, total
 
     @property
     def mode_ids(self) -> frozenset[str]:
-        return frozenset(term.mode_id for term in self.noise)
+        return self._mode_ids
 
 
-@dataclass(frozen=True)
+@_frozen
 class InputState:
     """Gaussian input state: quadrature variances plus optional test signals.
 
@@ -79,7 +116,8 @@ class InputState:
     s_minus: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.v_plus, self.v_minus, self.s_plus, self.s_minus))):
+        finite = math.isfinite(self.v_plus) and math.isfinite(self.v_minus)
+        if not (finite and math.isfinite(self.s_plus) and math.isfinite(self.s_minus)):
             raise ValueError("input state variances and signals must be finite")
         if not self.v_plus > 0 or not self.v_minus > 0:
             raise ValueError(
@@ -101,13 +139,13 @@ class InputState:
 def added_noise_variance(qmap: QuadratureMap) -> float:
     """Total added-noise variance N = sum of coefficient**2 * variance.
 
-    fsum makes the result independent of the noise-term ordering.  Finite
-    terms whose sum overflows raise ValueError.
+    fsum, taken when the map is built, makes the result independent of the
+    noise-term ordering.  Finite terms whose sum overflows raise ValueError.
     """
-    try:
-        return math.fsum(t.coefficient * t.coefficient * t.variance for t in qmap.noise)
-    except OverflowError:
-        raise ValueError("added noise undefined: the sum of the noise terms overflows") from None
+    noise = qmap._noise
+    if noise is None:
+        raise ValueError("added noise undefined: the sum of the noise terms overflows")
+    return noise
 
 
 def output_variance(qmap: QuadratureMap, v_in: float) -> float:

@@ -18,10 +18,9 @@ reinterpreted, to prevent silent convention errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .quadrature import NoiseTerm, QuadratureMap
+from .quadrature import NoiseTerm, QuadratureMap, _frozen
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -33,7 +32,7 @@ class Family(str, Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Teleporter:
     """A pair of quadrature maps plus the family tag and its parameters.
 
@@ -48,8 +47,8 @@ class Teleporter:
     resource: float | None = None
 
     def __post_init__(self) -> None:
-        shared = self.plus.mode_ids & self.minus.mode_ids
-        if shared:
+        if not self.plus.mode_ids.isdisjoint(self.minus.mode_ids):
+            shared = self.plus.mode_ids & self.minus.mode_ids
             raise ValueError(
                 f"quadrature maps share latent mode_ids {sorted(shared)}; "
                 "cross-quadrature coupling is not modelled"
@@ -103,12 +102,20 @@ def _added_noise(family: Family, gain, resource):
     return c_first * c_first * v_first + c_second * c_second * v_second
 
 
-def _family_maps(family: Family, gain: float, resource: float | None, stems: tuple[str, str]):
-    """The (plus, minus) maps of a family teleporter; mode ids are stem + quadrature."""
+# Latent mode ids of each family: its two noise modes in the + map, then in the - map.
+_MODE_IDS = {
+    Family.EPR: ("ent_corr+", "ent_anti+", "ent_corr-", "ent_anti-"),
+    Family.SINGLE_MODE: ("sms_corr+", "sms_anti+", "sms_corr-", "sms_anti-"),
+    Family.CLASSICAL: ("meas+", "fresh+", "meas-", "fresh-"),
+}
+
+
+def _family_maps(family: Family, gain: float, resource: float | None):
+    """The (plus, minus) maps of a family teleporter, with the mode ids of ``_MODE_IDS``."""
     (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
-    first, second = stems
-    plus = (NoiseTerm(f"{first}+", c_first, v_first), NoiseTerm(f"{second}+", c_second, v_second))
-    minus = (NoiseTerm(f"{first}-", c_first, v_first), NoiseTerm(f"{second}-", c_second, v_second))
+    first_p, second_p, first_m, second_m = _MODE_IDS[family]
+    plus = (NoiseTerm(first_p, c_first, v_first), NoiseTerm(second_p, c_second, v_second))
+    minus = (NoiseTerm(first_m, c_first, v_first), NoiseTerm(second_m, c_second, v_second))
     return QuadratureMap(gain, plus), QuadratureMap(gain, minus)
 
 
@@ -121,7 +128,7 @@ def make_epr(gain: float, v_ent: float) -> Teleporter:
     (1+gain)**2 * v_ent / 2 + (1-gain)**2 / (2 * v_ent).
     """
     _check_resource(v_ent, "v_ent")
-    plus, minus = _family_maps(Family.EPR, gain, v_ent, ("ent_corr", "ent_anti"))
+    plus, minus = _family_maps(Family.EPR, gain, v_ent)
     return Teleporter(plus, minus, Family.EPR, gain=gain, resource=v_ent)
 
 
@@ -134,7 +141,7 @@ def make_single_mode(gain: float, v_s: float) -> Teleporter:
     and variances (1+v_s)/2, (1+1/v_s)/2.
     """
     _check_resource(v_s, "v_s")
-    plus, minus = _family_maps(Family.SINGLE_MODE, gain, v_s, ("sms_corr", "sms_anti"))
+    plus, minus = _family_maps(Family.SINGLE_MODE, gain, v_s)
     return Teleporter(plus, minus, Family.SINGLE_MODE, gain=gain, resource=v_s)
 
 
@@ -146,7 +153,7 @@ def make_classical_measure_resend(gain: float) -> Teleporter:
     fluctuations of the fresh output field (coefficient 1).  Criteria-wise
     this coincides with ``make_epr(gain, 1.0)``.
     """
-    plus, minus = _family_maps(Family.CLASSICAL, gain, None, ("meas", "fresh"))
+    plus, minus = _family_maps(Family.CLASSICAL, gain, None)
     return Teleporter(plus, minus, Family.CLASSICAL, gain=gain, resource=None)
 
 

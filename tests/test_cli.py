@@ -746,6 +746,16 @@ class TestNonFiniteValues:
             assert criteria[name] == noise
         assert criteria["region"] == region
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflowing_mc_records_print_only_the_error(self, workers):
+        # x_in**2 overflows in every block; numpy's warnings must not reach stderr
+        args = ("--lambda", "1", "--resource", "0.5", "--vin-plus", "1.7e308")
+        args += ("--vin-minus", "1.7e308", "--shots", "100000", "--seed", "1")
+        result = run_cli("mc", "--family", "epr", *args, "--workers", workers)
+        assert result.returncode == 1
+        assert result.stderr == "error: the sampled moments of quadrature + leave the float range\n"
+        assert result.stdout == ""
+
 
 FUZZ_NUMBERS = st.one_of(
     st.sampled_from(

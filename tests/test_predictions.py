@@ -87,6 +87,12 @@ class TestSqueezingPreserved:
         with pytest.raises(ValueError, match="symmetric EPR"):
             squeezing_preserved(make_single_mode(1.0, 0.25), 0.3)
 
+    def test_smallest_squeezed_input(self):
+        # 1 / 5e-324 overflows, but only v_in_plus enters: the output variance
+        # N + gain**2 v_in_plus rounds to N = 1, which is not squeezed.
+        assert not squeezing_preserved(make_epr(1.0, 0.5), 5e-324)
+        assert squeezing_preserved(make_epr(1.0, 0.25), 5e-324)
+
 
 class TestBellS:
     def test_perfect_teleportation_preserves_maximal_violation(self):

@@ -1,0 +1,376 @@
+"""Contract of the package's frozen value types and of their constructors' errors."""
+
+import dataclasses
+import inspect
+import math
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvteleport import (
+    BellParams,
+    CriteriaReport,
+    Family,
+    InputState,
+    NoiseTerm,
+    QuadratureMap,
+    Teleporter,
+    added_noise_variance,
+    bell_s,
+    classical_bound_check,
+    classify,
+    make_classical_measure_resend,
+    make_custom,
+    make_epr,
+    make_single_mode,
+    optimal_gain,
+    output_variance,
+    sample_criteria,
+    sample_signal_transfer,
+    squeezing_preserved,
+)
+
+VACUUM = InputState(1.0, 1.0)
+# Finite terms whose squares are finite but whose sum overflows, and one whose square overflows.
+SUM_OVERFLOWS = (NoiseTerm("a", 1e154, 1.0), NoiseTerm("b", 1e154, 1.0))
+TERM_OVERFLOWS = (NoiseTerm("a", 1e200, 1.0),)
+
+
+def quadrature_map():
+    return QuadratureMap(0.5, [NoiseTerm("a", 1.5, 0.25)])
+
+
+def teleporter():
+    return make_single_mode(0.5, 0.25)
+
+
+def input_state():
+    return InputState(0.5, 2.0, s_plus=0.1)
+
+
+def criteria_report():
+    return classify(make_epr(1.0, 0.5), VACUUM)
+
+
+# One instance of every public value type, built twice to compare.
+VALUES = {
+    "NoiseTerm": lambda: NoiseTerm("a", 1.5, 0.25),
+    "QuadratureMap": quadrature_map,
+    "InputState": input_state,
+    "Teleporter": teleporter,
+    "CriteriaReport": criteria_report,
+    "ClassicalBoundCheck": lambda: classical_bound_check(make_epr(1.0, 0.5)),
+    "BellParams": lambda: BellParams(1.5, 1.0, 0.5),
+    "OptimalGain": lambda: optimal_gain(Family.EPR, 0.5),
+    "SampleStats": lambda: sample_criteria(make_epr(1.0, 0.5), VACUUM, 200, 1),
+    "SignalTransferStats": lambda: sample_signal_transfer(
+        make_epr(1.0, 0.5), InputState(1.0, 1.0, 0.1, 0.1), 200, 1
+    ),
+    "Estimate": lambda: sample_criteria(make_epr(1.0, 0.5), VACUUM, 200, 1).c_f,
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+class TestEveryValueType:
+    def test_assignment_raises_frozen_instance_error(self, name):
+        value = VALUES[name]()
+        assert type(value).__name__ == name
+        first = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, first, getattr(value, first))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.extra = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, first)
+
+    def test_equal_values_hash_as_their_field_tuples(self, name):
+        first, second = VALUES[name](), VALUES[name]()
+        assert first == second
+        fields = tuple(getattr(first, f.name) for f in dataclasses.fields(first))
+        assert hash(first) == hash(second) == hash(fields)
+
+    def test_pickle_and_replace_give_equal_values(self, name):
+        value = VALUES[name]()
+        restored = pickle.loads(pickle.dumps(value))
+        assert restored == value and repr(restored) == repr(value)
+        assert dataclasses.replace(value) == value
+        assert dataclasses.asdict(restored) == dataclasses.asdict(value)
+
+
+MISSING = dataclasses.MISSING
+REPORT_FLOATS = (
+    "ts_plus", "ts_minus", "t_t", "c_plus", "c_minus",
+    "vcv_plus", "vcv_minus", "v_t", "c_f", "v_cvf",
+)
+
+
+class TestFieldsAndRepr:
+    @pytest.mark.parametrize(
+        "cls,fields,signature",
+        [
+            (
+                QuadratureMap,
+                [("gain", "float", MISSING), ("noise", "tuple[NoiseTerm, ...]", ())],
+                "(gain: 'float', noise: 'tuple[NoiseTerm, ...]' = ()) -> None",
+            ),
+            (
+                Teleporter,
+                [
+                    ("plus", "QuadratureMap", MISSING),
+                    ("minus", "QuadratureMap", MISSING),
+                    ("family", "Family", Family.CUSTOM),
+                    ("gain", "float | None", None),
+                    ("resource", "float | None", None),
+                ],
+                "(plus: 'QuadratureMap', minus: 'QuadratureMap', family: 'Family' = "
+                "<Family.CUSTOM: 'custom'>, gain: 'float | None' = None, "
+                "resource: 'float | None' = None) -> None",
+            ),
+            (
+                InputState,
+                [
+                    ("v_plus", "float", MISSING),
+                    ("v_minus", "float", MISSING),
+                    ("s_plus", "float", 0.0),
+                    ("s_minus", "float", 0.0),
+                ],
+                "(v_plus: 'float', v_minus: 'float', s_plus: 'float' = 0.0, "
+                "s_minus: 'float' = 0.0) -> None",
+            ),
+            (
+                CriteriaReport,
+                [(name, "float", MISSING) for name in REPORT_FLOATS]
+                + [
+                    ("region", "Region", MISSING),
+                    ("both_violated", "bool", MISSING),
+                    ("input_minimum_uncertainty", "bool", MISSING),
+                ],
+                "("
+                + ", ".join(f"{name}: 'float'" for name in REPORT_FLOATS)
+                + ", region: 'Region', both_violated: 'bool', "
+                "input_minimum_uncertainty: 'bool') -> None",
+            ),
+        ],
+    )
+    def test_fields_and_signature(self, cls, fields, signature):
+        assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] == fields
+        assert all(f.init and f.default_factory is MISSING for f in dataclasses.fields(cls))
+        assert str(inspect.signature(cls)) == signature
+
+    def test_reprs(self):
+        assert repr(quadrature_map()) == (
+            "QuadratureMap(gain=0.5, "
+            "noise=(NoiseTerm(mode_id='a', coefficient=1.5, variance=0.25),))"
+        )
+        assert repr(input_state()) == "InputState(v_plus=0.5, v_minus=2.0, s_plus=0.1, s_minus=0.0)"
+        terms = (
+            "(NoiseTerm(mode_id='sms_corr{q}', coefficient=1.0606601717798214, variance=0.625), "
+            "NoiseTerm(mode_id='sms_anti{q}', coefficient=0.3535533905932738, variance=2.5))"
+        )
+        assert repr(teleporter()) == (
+            f"Teleporter(plus=QuadratureMap(gain=0.5, noise={terms.format(q='+')}), "
+            f"minus=QuadratureMap(gain=0.5, noise={terms.format(q='-')}), "
+            "family=<Family.SINGLE_MODE: 'single_mode'>, gain=0.5, resource=0.25)"
+        )
+        assert repr(criteria_report()) == (
+            "CriteriaReport(ts_plus=0.5, ts_minus=0.5, t_t=1.0, c_plus=0.5, c_minus=0.5, "
+            "vcv_plus=1.0000000000000002, vcv_minus=1.0000000000000002, v_t=1.0000000000000002, "
+            "c_f=0.5, v_cvf=1.0000000000000002, region=<Region.INTERMEDIATE: 'Intermediate'>, "
+            "both_violated=False, input_minimum_uncertainty=True)"
+        )
+
+    def test_defaults_and_keywords(self):
+        assert InputState(0.5, 2.0) == InputState(v_minus=2.0, v_plus=0.5, s_plus=0.0, s_minus=0.0)
+        assert QuadratureMap(1.0).noise == ()
+        custom = Teleporter(QuadratureMap(1.0), QuadratureMap(1.0))
+        assert (custom.family, custom.gain, custom.resource) == (Family.CUSTOM, None, None)
+        with pytest.raises(TypeError):
+            InputState(1.0)
+        with pytest.raises(TypeError):
+            InputState(1.0, 1.0, v_plus=1.0)
+
+    def test_noise_list_is_stored_as_a_tuple(self):
+        as_list = QuadratureMap(1.0, [NoiseTerm("a", 1.0, 1.0)])
+        as_tuple = QuadratureMap(1.0, (NoiseTerm("a", 1.0, 1.0),))
+        assert type(as_list.noise) is tuple
+        assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+
+    def test_maps_differing_in_one_field_differ(self):
+        base = quadrature_map()
+        assert dataclasses.replace(base, gain=0.25) != base
+        assert dataclasses.replace(base, noise=()) != base
+
+    def test_replace_recomputes_the_derived_values(self):
+        qmap = dataclasses.replace(quadrature_map(), noise=(NoiseTerm("b", 2.0, 1.0),))
+        assert qmap.mode_ids == frozenset({"b"})
+        assert added_noise_variance(qmap) == 4.0
+
+
+class TestReplaceValidates:
+    @pytest.mark.parametrize(
+        "value,changes,message",
+        [
+            (NoiseTerm("a", 1.0, 1.0), {"variance": 0.0}, "noise variance must be > 0, got 0.0"),
+            (quadrature_map(), {"gain": math.inf}, "gain must be finite"),
+            (input_state(), {"v_minus": -1.0}, "quadrature variances must be > 0, got (0.5, -1.0)"),
+            (
+                make_epr(1.0, 0.5),
+                {"minus": make_epr(1.0, 0.5).plus},
+                "quadrature maps share latent mode_ids ['ent_anti+', 'ent_corr+']; "
+                "cross-quadrature coupling is not modelled",
+            ),
+            (BellParams(1.5, 1.0, 0.5), {"s_i": 2.0}, "s_i cannot exceed 1.5, got 2.0"),
+        ],
+    )
+    def test_bad_value_raises_value_error(self, value, changes, message):
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(value, **changes)
+        assert str(info.value) == message
+
+
+def _two_maps_sharing(*ids):
+    return (
+        QuadratureMap(1.0, tuple(NoiseTerm(i, 1.0, 1.0) for i in ids)),
+        QuadratureMap(1.0, tuple(NoiseTerm(i, 1.0, 1.0) for i in reversed(ids))),
+    )
+
+
+def custom(plus_terms, minus_terms=()):
+    return make_custom(QuadratureMap(1.0, plus_terms), QuadratureMap(1.0, minus_terms))
+
+
+NOT_FINITE = "input state variances and signals must be finite"
+TERM_NOT_FINITE = "noise term coefficient and variance must be finite"
+SUM_OVERFLOW_MESSAGE = "added noise undefined: the sum of the noise terms overflows"
+
+# Every ValueError message of the constructors and of the single-point entry
+# points, exactly.
+MESSAGES = [
+    (lambda: NoiseTerm("m", 1.0, -1.0), "noise variance must be > 0, got -1.0"),
+    (lambda: NoiseTerm("m", 1.0, math.nan), "noise variance must be > 0, got nan"),
+    (lambda: NoiseTerm("m", math.inf, 1.0), TERM_NOT_FINITE),
+    (lambda: NoiseTerm("m", 1.0, math.inf), TERM_NOT_FINITE),
+    (lambda: QuadratureMap(math.nan), "gain must be finite"),
+    (
+        lambda: QuadratureMap(
+            1.0, (NoiseTerm("m", 1.0, 1.0), NoiseTerm("n", 1.0, 1.0), NoiseTerm("m", 0.5, 2.0))
+        ),
+        "noise mode_ids must be pairwise distinct, got ['m', 'n', 'm']",
+    ),
+    (lambda: InputState(1.0, 1.0, s_minus=math.inf), NOT_FINITE),
+    (lambda: InputState(math.nan, 1.0), NOT_FINITE),
+    (lambda: InputState(0.0, 1.0), "quadrature variances must be > 0, got (0.0, 1.0)"),
+    (lambda: InputState(1.0, -2.0), "quadrature variances must be > 0, got (1.0, -2.0)"),
+    (
+        lambda: make_custom(*_two_maps_sharing("b", "a")),
+        "quadrature maps share latent mode_ids ['a', 'b']; "
+        "cross-quadrature coupling is not modelled",
+    ),
+    (
+        lambda: Teleporter(*_two_maps_sharing("a")),
+        "quadrature maps share latent mode_ids ['a']; cross-quadrature coupling is not modelled",
+    ),
+    (lambda: make_epr(1.0, 1.5), "v_ent must lie in (0, 1], got 1.5"),
+    (lambda: make_epr(1.0, 0.0), "v_ent must lie in (0, 1], got 0.0"),
+    (lambda: make_single_mode(1.0, 2.0), "v_s must lie in (0, 1], got 2.0"),
+    (lambda: make_epr(math.inf, 0.5), TERM_NOT_FINITE),
+    (lambda: make_classical_measure_resend(math.nan), TERM_NOT_FINITE),
+    (lambda: BellParams(math.inf, 1.0, 1.0), "Bell parameters s_i, gain and v_cvf must be finite"),
+    (lambda: BellParams(1.6, 1.0, 1.0), "s_i cannot exceed 1.5, got 1.6"),
+    (lambda: BellParams(1.5, 1.0, -0.5), "v_cvf must be nonnegative, got -0.5"),
+    (
+        lambda: classify(make_custom(QuadratureMap(0.0), QuadratureMap(1.0)), VACUUM),
+        "signal transfer undefined: zero gain and zero added noise",
+    ),
+    (
+        lambda: classify(custom(TERM_OVERFLOWS), VACUUM),
+        "field correlation undefined: the added noise overflows",
+    ),
+    (
+        lambda: classify(custom(SUM_OVERFLOWS), VACUUM),
+        SUM_OVERFLOW_MESSAGE,
+    ),
+    (
+        lambda: classical_bound_check(make_epr(0.0, 0.5)),
+        "classical bound undefined for zero gain (or an underflowing gain**2)",
+    ),
+    (
+        lambda: classical_bound_check(custom(TERM_OVERFLOWS, (NoiseTerm("b", 1.0, 1.0),))),
+        "classical bound undefined: the noise product is inf",
+    ),
+    (
+        lambda: classical_bound_check(custom(SUM_OVERFLOWS)),
+        SUM_OVERFLOW_MESSAGE,
+    ),
+    (
+        lambda: added_noise_variance(QuadratureMap(1.0, SUM_OVERFLOWS)),
+        SUM_OVERFLOW_MESSAGE,
+    ),
+    (
+        lambda: output_variance(QuadratureMap(1.0, SUM_OVERFLOWS), 1.0),
+        SUM_OVERFLOW_MESSAGE,
+    ),
+    (lambda: output_variance(QuadratureMap(1.0), 0.0), "input variance must be > 0, got 0.0"),
+    (
+        lambda: squeezing_preserved(make_single_mode(1.0, 0.5), 0.5),
+        "squeezing preservation is defined for symmetric EPR teleporters",
+    ),
+    (
+        lambda: squeezing_preserved(make_epr(1.0, 0.5), 1.0),
+        "input must be squeezed (0 < v_in_plus < 1), got 1.0",
+    ),
+    (lambda: optimal_gain(Family.EPR, 0.0), "resource must lie in (0, 1], got 0.0"),
+    (
+        lambda: optimal_gain(Family.CLASSICAL, 0.5),
+        "optimal gain is defined for the epr and single_mode families, got Family.CLASSICAL",
+    ),
+    (
+        lambda: optimal_gain(Family.EPR, 5e-324),
+        "optimal gain undefined: the noise of resource 5e-324 overflows",
+    ),
+    (
+        lambda: bell_s(BellParams(1.5, 0.0, 1.0)),
+        "Bell correlation undefined: degenerate denominator at v_cvf=1.0, gain=0.0",
+    ),
+    (
+        lambda: bell_s(BellParams(1.5, 1e200, 1.0)),
+        "Bell correlation undefined: S is nan at gain=1e+200",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,message", MESSAGES)
+def test_value_error_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Noise terms over the whole float range: squares and sums may overflow.
+WIDE_TERMS = st.lists(
+    st.tuples(
+        st.floats(min_value=-1e200, max_value=1e200),
+        st.floats(min_value=5e-324, max_value=1.7e308),
+    ),
+    max_size=5,
+)
+
+
+@given(gain=st.floats(min_value=-3.0, max_value=3.0), pairs=WIDE_TERMS)
+@settings(max_examples=300, deadline=None)
+def test_stored_added_noise_is_the_fsum_of_the_terms(gain, pairs):
+    terms = tuple(NoiseTerm(f"m{i}", c, v) for i, (c, v) in enumerate(pairs))
+    qmap, reordered = QuadratureMap(gain, terms), QuadratureMap(gain, terms[::-1])
+    try:
+        expected = math.fsum([t.coefficient * t.coefficient * t.variance for t in terms])
+    except OverflowError:
+        for m in (qmap, reordered):
+            with pytest.raises(ValueError, match="sum of the noise terms overflows"):
+                added_noise_variance(m)
+        return
+    # repr tells every float apart, also inf
+    assert repr(added_noise_variance(qmap)) == repr(expected)
+    assert repr(added_noise_variance(reordered)) == repr(expected)
+    assert qmap.mode_ids == frozenset(t.mode_id for t in terms)
