@@ -325,42 +325,49 @@ def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float],
     return table, regions
 
 
+def _text_rows(texts: Iterable[str]):
+    """The ASCII ``texts`` as the NUL-padded rows of a uint8 matrix."""
+    import numpy as np
+
+    column = np.array(list(texts), dtype=bytes)
+    return column.view(np.uint8).reshape(len(column), column.itemsize)
+
+
 def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[float]):
     """The sweep CSV, one string per chunk of rows.
 
-    Within a row, each criterion whose float64 bits equal those of an
-    earlier one reuses its text, so each distinct value is formatted once;
-    bits, not ==, so that -0.0 and 0.0 keep their own text.
+    A chunk is laid out as a NUL-padded byte matrix, a row per grid point;
+    deleting its NULs leaves the chunk's lines.  The criteria take their
+    text from ``_shortest.reprs``, the bytes of ``repr``, once per distinct
+    column of the chunk: columns with the same float64 bits share it (bits,
+    not ==, so that -0.0 and 0.0 keep their own text).
     """
     import numpy as np
 
-    gain_text = np.array([_fmt(g) for g in lambda_grid], dtype=object)
-    resource_text = np.array([_fmt(r) for r in resource_grid], dtype=object)
-    region_text = {region: region.value for region in Region}
-    width = len(CRITERIA)
-    # One row of cells: lambda, resource, the CRITERIA and the region, each
-    # followed by its separator.
-    cells = np.empty((min(_SWEEP_CHUNK, len(regions)), 2 * (width + 3)), dtype=object)
-    cells[:, 1::2] = ","
-    cells[:, -1] = "\n"
+    from ._shortest import reprs
+
+    gain_text = _text_rows(map(_fmt, lambda_grid))
+    resource_text = _text_rows(map(_fmt, resource_grid))
+    region_text = _text_rows(f"{region.value}\n" for region in Region)
+    code = {region: k for k, region in enumerate(Region)}
+    region_codes = np.fromiter(map(code.__getitem__, regions.tolist()), np.intp, len(regions))
+    comma = np.full((min(_SWEEP_CHUNK, len(regions)), 1), ord(","), dtype=np.uint8)
     yield SWEEP_HEADER + "\n"
     for start in range(0, len(regions), _SWEEP_CHUNK):
-        values = np.ascontiguousarray(table[:, start : start + _SWEEP_CHUNK].T)
-        rows = len(values)
+        values = table[:, start : start + _SWEEP_CHUNK]
+        rows = values.shape[1]
         bits = values.view(np.uint64)
-        # first[r, k]: the first criterion of row r with the bits of criterion k
-        first = (bits[:, :, None] == bits[:, None, :]).argmax(axis=1)
-        own = first == np.arange(width)
-        texts = np.array(list(map(repr, values[own].tolist())), dtype=object)
-        # Index in texts of each value: of a row's own values first, then of all.
-        slots = (np.cumsum(own) - 1).reshape(rows, width)
-        chunk = cells[:rows]
+        # first[k]: the first criterion column with the bits of column k
+        first = (bits[:, None] == bits[None]).all(axis=2).argmax(axis=0)
+        distinct = np.flatnonzero(first == np.arange(len(first)))
+        texts = reprs(values[distinct]).reshape(len(distinct), rows, -1)
         i, j = np.divmod(np.arange(start, start + rows), len(resource_grid))
-        chunk[:, 0] = gain_text[i]
-        chunk[:, 2] = resource_text[j]
-        chunk[:, 4:-2:2] = texts[np.take_along_axis(slots, first, axis=1)]
-        chunk[:, -2] = list(map(region_text.__getitem__, regions[start : start + rows].tolist()))
-        yield "".join(chunk.ravel().tolist())
+        sep = comma[:rows]
+        pieces = [gain_text[i], sep, resource_text[j], sep]
+        for k in np.searchsorted(distinct, first).tolist():
+            pieces += [texts[k], sep]
+        pieces.append(region_text[region_codes[start : start + rows]])
+        yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode()
 
 
 def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:

@@ -48,9 +48,13 @@ def symmetric_output_variance(v_cvf: float, gain: float, v_in: float) -> float:
     """Output quadrature variance v_cvf + gain**2 * v_in (symmetric, lossless).
 
     Immediate consequence: with v_cvf >= 1 the output can never be squeezed,
-    whatever the gain or input variance.
+    whatever the gain or input variance.  A variance that is not finite raises
+    ValueError.
     """
-    return v_cvf + gain * gain * v_in
+    v_out = v_cvf + gain * gain * v_in
+    if not math.isfinite(v_out):
+        raise ValueError(f"output variance undefined: it is {v_out} at gain {gain}, v_in {v_in}")
+    return v_out
 
 
 def output_variance_symmetric(

@@ -96,6 +96,11 @@ class QuadratureMap:
         d = self.__dict__
         d["noise"], d["_mode_ids"], d["_noise"] = noise, mode_ids, total
 
+    def __setstate__(self, state: dict) -> None:
+        # Pickles of earlier versions hold only the fields: derive the rest again.
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @property
     def mode_ids(self) -> frozenset[str]:
         return self._mode_ids
@@ -149,18 +154,31 @@ def added_noise_variance(qmap: QuadratureMap) -> float:
 
 
 def output_variance(qmap: QuadratureMap, v_in: float) -> float:
-    """Output quadrature variance gain**2 * v_in + N for input variance v_in."""
+    """Output quadrature variance gain**2 * v_in + N for input variance v_in.
+
+    A variance beyond the float range raises ValueError.
+    """
     if not v_in > 0:
         raise ValueError(f"input variance must be > 0, got {v_in}")
-    return qmap.gain * (qmap.gain * v_in) + added_noise_variance(qmap)
+    v_out = qmap.gain * (qmap.gain * v_in) + added_noise_variance(qmap)
+    if not math.isfinite(v_out):
+        raise ValueError(
+            f"output variance undefined: it overflows at gain {qmap.gain}, v_in {v_in}"
+        )
+    return v_out
 
 
 def in_out_covariance(qmap: QuadratureMap, v_in: float) -> float:
     """Covariance of input and output quadrature records, gain * v_in.
 
     Latent noise modes are independent of the input, so only the signal
-    path contributes.
+    path contributes.  A covariance beyond the float range raises ValueError.
     """
     if not v_in > 0:
         raise ValueError(f"input variance must be > 0, got {v_in}")
-    return qmap.gain * v_in
+    cov = qmap.gain * v_in
+    if not math.isfinite(cov):
+        raise ValueError(
+            f"in-out covariance undefined: it overflows at gain {qmap.gain}, v_in {v_in}"
+        )
+    return cov

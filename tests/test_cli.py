@@ -453,6 +453,7 @@ optimal_gain(Family.EPR, 0.25)
 squeezing_preserved(teleporter, 0.3)
 bell_s(BellParams(s_i=1.5, gain=1.0, v_cvf=0.5))
 assert "numpy" not in sys.modules, "numpy was imported"
+assert "cvteleport._shortest" not in sys.modules, "the sweep formatter was imported"
 assert cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 mc = ["mc", "--family", "epr", "--lambda", "1", "--resource", "0.5"]
 assert cli.main([*mc, "--shots", "2000", "--seed", "3"]) == 0
@@ -892,3 +893,11 @@ class TestSqueeze:
         )
         result = run_cli("squeeze", "--config", str(config))
         assert all(line.endswith(",false") for line in result.stdout.splitlines()[1:])
+
+    def test_overflowing_output_variance_exits_1(self):
+        # 1e308 + 4 * 1e308 overflows: an error, not rows of inf
+        result = run_cli("squeeze", "--lambda", "2", "--vin-plus", "1e308")
+        assert result.returncode == 1
+        message = "output variance undefined: it is inf at gain 2.0, v_in 1e+308"
+        assert result.stderr == f"error: {message}\n"
+        assert result.stdout == ""

@@ -21,6 +21,7 @@ from cvteleport import (
     bell_s,
     classical_bound_check,
     classify,
+    in_out_covariance,
     make_classical_measure_resend,
     make_custom,
     make_epr,
@@ -30,6 +31,7 @@ from cvteleport import (
     sample_criteria,
     sample_signal_transfer,
     squeezing_preserved,
+    symmetric_output_variance,
 )
 
 VACUUM = InputState(1.0, 1.0)
@@ -207,6 +209,21 @@ class TestFieldsAndRepr:
         assert qmap.mode_ids == frozenset({"b"})
         assert added_noise_variance(qmap) == 4.0
 
+    def test_pickle_of_the_fields_alone_loads_a_working_map(self):
+        # Pickles made before the maps stored their noise and mode ids hold
+        # only the fields; loading one derives the rest again.
+        fresh = make_epr(1.0, 0.5)
+        old = {}
+        for side in ("plus", "minus"):
+            qmap = getattr(fresh, side)
+            fields_only = object.__new__(QuadratureMap)
+            fields_only.__dict__.update(gain=qmap.gain, noise=qmap.noise)
+            old[side] = pickle.loads(pickle.dumps(fields_only))
+            assert old[side].__dict__ == qmap.__dict__
+            assert old[side].mode_ids == qmap.mode_ids
+        loaded = make_custom(old["plus"], old["minus"])
+        assert classify(loaded, VACUUM) == classify(fresh, VACUUM)
+
 
 class TestReplaceValidates:
     @pytest.mark.parametrize(
@@ -313,6 +330,18 @@ MESSAGES = [
         SUM_OVERFLOW_MESSAGE,
     ),
     (lambda: output_variance(QuadratureMap(1.0), 0.0), "input variance must be > 0, got 0.0"),
+    (
+        lambda: output_variance(QuadratureMap(2.0), 1e308),
+        "output variance undefined: it overflows at gain 2.0, v_in 1e+308",
+    ),
+    (
+        lambda: in_out_covariance(QuadratureMap(2.0), 1e308),
+        "in-out covariance undefined: it overflows at gain 2.0, v_in 1e+308",
+    ),
+    (
+        lambda: symmetric_output_variance(1e308, 2.0, 1e308),
+        "output variance undefined: it is inf at gain 2.0, v_in 1e+308",
+    ),
     (
         lambda: squeezing_preserved(make_single_mode(1.0, 0.5), 0.5),
         "squeezing preservation is defined for symmetric EPR teleporters",
