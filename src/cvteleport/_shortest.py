@@ -1,22 +1,20 @@
 """The text of ``repr(float(x))`` for every element of a float64 array, at array speed.
 
-:func:`reprs` returns one row of a NUL-padded ``uint8`` matrix per element;
-deleting the NULs of a row leaves exactly the bytes of ``repr``.  Three steps:
+:func:`reprs` writes one NUL-padded row of ``uint8`` per element; deleting
+the NULs of a row leaves exactly the bytes of ``repr``.  Three steps:
 
-* Digits: Schubfach (R. Giulietti, "The Schubfach way to render doubles",
-  2020) finds, in ``uint64`` lanes, the shortest decimal that rounds back to
-  each double and, of those, the closest; like Gay's dtoa behind ``repr``.
-  Unlike Java's ``Double.toString``, a single digit is allowed, so the
-  shorter candidate is tried from ``s >= 10`` and subnormals need no
-  special path.
-* Layout: Python's, positional for 1e-4 <= |x| < 1e16 and ``d.ddde±XX``
-  otherwise, written as the sign, the integer digits, the point, the
-  fraction digits and the exponent, each in a fixed column range, from
-  4-digit texts packed as ``uint32``.
-* Fallback: zeros and non-finite values, few in practice, take ``repr``.
-
-The tables are built on first use, so importing this module costs nothing
-beyond numpy.
+* Digits: Dragonbox (J. Jeon, "Dragonbox: A New Floating-Point
+  Binary-to-Decimal Conversion Algorithm", 2020), its regular-interval path
+  with kappa = 2, in ``uint64`` lanes: the shortest decimal that rounds back
+  to each double, the closest of those (ties: even), as Gay's dtoa behind
+  ``repr``.  One 64 x 128-bit product per value, parity products on the rare
+  lanes that need them.
+* Layout: Python's, positional for 1e-4 <= |x| < 1e16, else ``d.ddde±XX``:
+  sign, integer digits, point and fraction digits in fixed column ranges,
+  from 4-digit ``uint32`` texts; an exponent ends its lane's fraction columns.
+* Fallback: ``repr``, once per distinct bit pattern, for zeros, non-finite
+  values and the powers of two above the smallest normal (whose lower
+  neighbour is half as far as the upper one).  The tables are built on first use.
 """
 
 from __future__ import annotations
@@ -25,46 +23,41 @@ import functools
 
 import numpy as np
 
-_K_MIN, _K_MAX = -324, 292  # decimal exponents k of the finite doubles
 _M32 = (1 << 32) - 1
-_M63 = (1 << 63) - 1
 _POW10 = np.array([10**i for i in range(19)], dtype=np.int64)
+_SCALE = _POW10[np.minimum(np.arange(21), 17)]  # 10**after, or a power above every f
 # _DIGITS_AT_BITS[b]: the digits of the smallest integer of bit length b.
-# _KEEP_OFFSET[32 + r]: where the texts keeping r digits start, r clipped to 0..4.
+# _KEEP_OFFSETS[r, keep]: the texts of group r (from the right) of the last keep digits.
 _DIGITS_AT_BITS = np.array([len(str(1 << b >> 1)) for b in range(64)])
-_KEEP_OFFSET = np.clip(np.arange(-32, 33), 0, 4) * 10_000
-
-
-def _flog2pow10(e):
-    """floor(log2(10**e)) for |e| <= 1233 (ints or int64 arrays)."""
-    return (e * 913_124_641_741) >> 38
+_KEEP_OFFSETS = np.clip(np.arange(21) - 4 * np.arange(5)[:, None], 0, 4).astype(np.uint32) * 10_000
 
 
 @functools.cache
-def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """The Schubfach multipliers and the 4-digit texts.
+def _tables() -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The Dragonbox constants of each biased exponent, and the 4-digit texts.
 
-    Column ``k - _K_MIN`` of the first holds g = floor(10**-k * 2**-r) + 1,
-    with r chosen so that 2**125 <= g < 2**126, as five numbers: g1 = g >> 63,
-    then g1 and g0 = g mod 2**63 in 32-bit halves.  Entry ``r * 10_000 + d``
-    of the second is the last r digits of ``f"{d:04}"`` after 4 - r NULs, as
-    the uint32 whose bytes those are.
+    For a double c 2**q scaled by 10**-k, k = floor(log10(2**q)) - 2: the 32-bit
+    limbs, highest first, of g = ceil(10**-k 2**(127 + q - beta)) < 2**128;
+    beta = q + floor(log2(10**-k)), 6 to 9; the scaled width 100 <= delta <
+    1000; the hidden bit of c; k + 2.  Entry ``r * 10_000 + d`` of the texts
+    is the last r digits of ``f"{d:04}"`` after 4 - r NULs, as a uint32.
     """
-    rows = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        shift = 125 - _flog2pow10(-k)
-        if k > 0:
-            g = (1 << shift) // 10**k + 1
-        else:
-            g = (10**-k << shift if shift >= 0 else 10**-k >> -shift) + 1
-        g1, g0 = g >> 63, g & _M63
-        rows.append((g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32))
-    multipliers = np.array(rows, dtype=np.uint64).T.copy()
+    biased = np.arange(2048)
+    q = np.maximum(biased, 1) - 1075
+    k = ((q * 661_971_961_083) >> 41) - 2
+    beta = (q + ((-k * 913_124_641_741) >> 38)).astype(np.uint64)  # floor(log2(10**-k))
+    limbs = []
+    for power in range(-k.max(), 1 - k.min()):
+        shift = 127 - ((power * 913_124_641_741) >> 38)
+        g = -(-(10 ** max(power, 0) << max(shift, 0)) // (10 ** max(-power, 0) << max(-shift, 0)))
+        limbs.append((g >> 96, g >> 64 & _M32, g >> 32 & _M32, g & _M32))
+    g3, g2, g1, g0 = np.array(limbs, dtype=np.uint64)[k.max() - k].T.copy()
+    hidden = (biased > 0).astype(np.uint64) << 52
     place = np.array([1000, 100, 10, 1], dtype=np.int32)
     digits = (np.arange(10_000, dtype=np.int32)[:, None] // place % 10 + ord("0")).astype(np.uint8)
     kept = np.arange(4) >= 4 - np.arange(5)[:, None, None]  # (r, 1, column)
     texts = np.where(kept, digits, np.uint8(0)).view(np.uint32).ravel()
-    return multipliers, texts
+    return (g3, g2, g1, g0, beta, g3 >> 31 - beta, hidden, k + 2), texts
 
 
 def _mulhi(ah, al, bh, bl):
@@ -74,122 +67,150 @@ def _mulhi(ah, al, bh, bl):
     return ah * bh + (u >> 32) + (w >> 32)
 
 
-def _rop(g, cp):
-    """Round to odd of g * cp / 2**127, g = g1 2**63 + g0 (Schubfach, figure 8)."""
-    g1, g1h, g1l, g0h, g0l = g
-    cph, cpl = cp >> 32, cp & _M32
-    z = (g1 * cp >> 1) + _mulhi(g0h, g0l, cph, cpl)
-    return _mulhi(g1h, g1l, cph, cpl) + (z >> 63) | ((z & _M63) + _M63) >> 63
+def _parity(x, cache, beta):
+    """Parity of floor(x g 2**beta / 2**128), g in limbs, and whether its next 64 bits are 0."""
+    g3, g2, g1, g0 = cache
+    high = x * (g3 << 32 | g2) + _mulhi(x >> 32, x & _M32, g1, g0)
+    low = x * (g1 << 32 | g0)
+    return (high >> 64 - beta & 1).astype(bool), (high << beta | low >> 64 - beta) == 0
 
 
-def _pick(mask, a, b):
-    """``np.where(mask, a, b)`` for integer arrays, in half its time."""
-    return b + mask * (a - b)
+def _decimal(t, bq):
+    """(f, e): the shortest decimal f * 10**e, closest of those, that rounds to a double.
 
-
-def _decimal(x):
-    """(f, e): the shortest decimal f * 10**e, closest of those, that rounds to |x|.
-
-    ``x`` holds finite nonzero doubles; f is an int64 without trailing zeros.
+    ``t`` and ``bq`` are the fraction bits and biased exponents of finite
+    nonzero doubles with a regular interval; f is an int64 without trailing zeros.
     """
-    bits = x.view(np.uint64)
-    t = bits & (1 << 52) - 1
-    bq = (bits >> 52).astype(np.int64) & 0x7FF
-    c = t + (bq > 0) * np.uint64(1 << 52)
-    q = np.maximum(bq, 1) - 1075
-    irregular = (t == 0) & (bq > 1)  # the lower neighbour is half as far
-    # k = floor(log10(2**q)), or floor(log10(3/4 * 2**q)) where irregular
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    cb, g = c << 2, _tables()[0].take(k - _K_MIN, axis=1)
-    vb, vbl, vbr = (_rop(g, cp << h) for cp in (cb, cb - 2 + irregular, cb + 2))
-    s, odd = vb >> 2, c & 1  # the rounding interval is open for odd c
-    sp = s // 10 * 10  # the one-digit-shorter candidates sp and sp + 10
-    upin, wpin = vbl + odd <= sp << 2, (sp + 10 << 2) + odd <= vbr
-    uin, win = vbl + odd <= s << 2, (s + 1 << 2) + odd <= vbr
-    # u = s when only it is in the interval, or both are and it is closer (ties: even)
-    closer = (vb < 4 * s + 2) | ((vb == 4 * s + 2) & ((s & 1) == 0))
-    shorter = sp + ~upin * np.uint64(10)
-    f = _pick((s >= 10) & (upin != wpin), shorter, s + ~(uin & (~win | closer)))
-    f = f.astype(np.int64)
+    *cache, beta, delta, hidden, k = (table.take(bq) for table in _tables()[0])
+    g3, g2, g1, g0 = cache
+    c = t | hidden
+    # z = floor((c + 1/2) 2**q 10**-k), the interval's upper end: the high 64 of
+    # the 192 bits of u g; low, the next 64, is 0 where z is exact.
+    u = (c << 1 | 1) << beta
+    uh, ul = u >> 32, u & _M32
+    part, below = ul * g2, _mulhi(uh, ul, g1, g0)
+    mid = uh * g2 + (part >> 32)
+    top = ul * g3 + (mid & _M32)
+    low = (top << 32 | part & _M32) + below
+    z = uh * g3 + (mid >> 32) + (top >> 32) + (low < below)
+    s = z // 1000  # s 10**(k + 3) is in the interval where r < delta, but for the ends
+    r = z - s * 1000
+    big = r < delta
+    ends = np.flatnonzero((r == 0) | (r == delta))
+    if ends.size:  # z is in for even c or inexact z; the lower end by the fraction there
+        odd, exact = _parity((c[ends] << 1) - 1, [g[ends] for g in cache], beta[ends])
+        even, upper = (c[ends] & 1) == 0, r[ends] == 0
+        drop = upper & (low[ends] == 0) & ~even
+        big[ends] = np.where(upper, ~drop, odd | (exact & even))
+        s[ends] -= drop
+        r[ends] += drop * np.uint64(1000)
+    # Else the closest multiple of 10**(k + 2), corrected by parity (ties: even).
+    dist = r - (delta >> 1) + 50
+    near = dist // 100
+    f = s * 10 + near
+    check = np.flatnonzero(near * 100 == dist)
+    if check.size:
+        odd, exact = _parity(c[check] << 1, [g[check] for g in cache], beta[check])
+        fc = f[check]
+        wrong = (odd != ((dist[check] ^ 50) & 1).astype(bool)) | (exact & (fc & 1).astype(bool))
+        f[check] = fc - wrong
+    f, k = np.where(big, s, f).view(np.int64), k + big
     zeros = np.flatnonzero(f // 10 * 10 == f)
-    if zeros.size:  # strip the trailing zeros
+    if zeros.size:  # strip the trailing zeros, at most 15 as s < 10**16
         fz, kz = f[zeros], k[zeros]
-        for p in (16, 8, 4, 2, 1):
+        for p in (8, 4, 2, 1):
             quotient = fz // _POW10[p]
             exact = quotient * _POW10[p] == fz
-            fz = _pick(exact, quotient, fz)
+            fz = np.where(exact, quotient, fz)
             kz = kz + p * exact
         f[zeros], k[zeros] = fz, kz
     return f, k
 
 
 def _write(out, value, keep, texts) -> None:
-    """Write the last ``keep`` decimal digits of ``value`` right-aligned into ``out``.
+    """Write the last ``keep`` digits of each ``value`` right-aligned into ``out``, else NULs.
 
-    ``out`` is a (n, 4 * groups) uint8 view, at most 5 groups; the other
-    columns get NULs.  ``value`` is below 10**(4 * groups).
+    ``out`` is a uint8 view of shape ``shape + (4 * groups,)``, 5 groups at most.
     """
     groups = out.view(np.uint32)
-    count = groups.shape[1]
+    count, shape = groups.shape[-1], groups.shape[:-1]
     high = value // 100_000_000
-    words = [(value - high * 100_000_000).astype(np.uint32), high.astype(np.uint32)]
-    keep, rest = keep + 32, words[0]  # keep + 32 - 4 r indexes _KEEP_OFFSET
+    rest, high = (value - high * 100_000_000).astype(np.uint32), high.astype(np.uint32)
+    offsets = _KEEP_OFFSETS.take(keep, axis=1)
     for r in range(count):  # groups from the right
         if r == 2:
-            rest = words[1]
+            rest = high
         quotient = rest // 10_000
-        groups[:, count - 1 - r] = texts[_KEEP_OFFSET[keep - 4 * r] + (rest - quotient * 10_000)]
+        digits = rest - quotient * 10_000
+        groups[..., count - 1 - r] = texts.take(offsets[r] + digits).reshape(shape)
         rest = quotient
 
 
-def reprs(x) -> np.ndarray:
-    """The bytes of ``repr(float(v))`` for each v in ``x``, one NUL-padded row each.
+def reprs(x, frame=None) -> np.ndarray:
+    """The bytes of ``repr(float(v))`` for each v in ``x``, NUL-padded to one width.
 
-    The rows may be a view of a wider matrix.
+    They are written into and returned in ``frame(width)``, a uint8 array of
+    shape ``x.shape + (width,)`` that is all NUL; by default a new one.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
-    special = ~np.isfinite(x) | (x == 0.0)
-    f, e = _decimal(np.where(special, 1.0, x))
+    shape, bits = np.shape(x), np.ascontiguousarray(x, dtype=np.float64).ravel().view(np.uint64)
+    bq = (bits >> 52).view(np.int64) & 0x7FF
+    t = bits & (1 << 52) - 1
+    special = np.flatnonzero((bq == 0x7FF) | (t == 0) & (bq != 1))
+    bq[special], t[special] = 1023, 1  # any regular value
+    f, e = _decimal(t, bq)
     _, texts = _tables()
     # Digits of f: those of the smallest integer of its bit length, or one more.
-    low = _DIGITS_AT_BITS[(f.astype(np.float64).view(np.int64) >> 52) - 1022]
-    n = low + (f >= _POW10[low])
+    low = _DIGITS_AT_BITS.take((f.astype(np.float64).view(np.int64) >> 52) - 1022)
+    n = low + (f >= _POW10.take(low))
     point = n + e  # |x| = 0.(digits of f) * 10**point
-    positional = (point > -4) & (point <= 16)
-    point = _pick(positional, point, 1)  # the exponent form has one integer digit
+    positional = (point + 3).view(np.uint64) < 20  # -4 < point <= 16
+    shown = np.flatnonzero(~positional)  # the lanes with an exponent
+    power = point[shown] - 1
+    point[shown] = 1  # the exponent form has one integer digit
     after = np.maximum(n - point, 0)  # digits of f after the decimal point
-    scale = _POW10[np.minimum(after, 17)]
+    scale = _SCALE.take(after)
     integer = f // scale
     fraction = f - integer * scale
-    integer *= _POW10[np.maximum(point - n, 0)]
-    int_digits = np.maximum(point, 1)
-    frac_digits = after + (positional & (after == 0))  # "1.0", but "1e+16"
-    int_max = int(int_digits.max(initial=1))
-    int_width = 4 * ((int_max + 3) // 4)
-    frac_width = 4 * ((int(frac_digits.max(initial=1)) + 3) // 4)
-    exponent = not positional.all()
-    out = np.zeros((x.size, 2 + int_width + frac_width + 6 * exponent), dtype=np.uint8)
-    negative = np.signbit(x)
-    out[:, 0] = negative.view(np.uint8) * np.uint8(ord("-"))
-    _write(out[:, 1 : 1 + int_width], integer, int_digits, texts)
-    out[:, 1 + int_width] = (frac_digits > 0).view(np.uint8) * np.uint8(ord("."))
-    _write(out[:, 2 + int_width : 2 + int_width + frac_width], fraction, frac_digits, texts)
-    if exponent:
-        power = n + e - 1
-        shown = ~positional
-        tail = out[:, -6:]
-        tail[:, 0] = shown.view(np.uint8) * np.uint8(ord("e"))
-        tail[:, 1] = shown * np.where(power < 0, ord("-"), ord("+"))
-        _write(tail[:, 2:], np.abs(power), shown * (2 + (np.abs(power) >= 100)), texts)
-    # Leave out the leading columns that are NUL in every row: at least 4 stay.
-    out = out[:, 0 if negative.any() else 1 + int_width - int_max :]
-    special = np.flatnonzero(special)
+    frac_digits = np.maximum(after, positional)  # "1.0", but "1e+16"
+    negative = np.flatnonzero(bits >> 63)
+    sign, int_max = int(negative.size > 0), int(point.max(initial=1))
+    # Columns: sign, integer, point, fraction.  A 4-digit group may run into the
+    # columns on its left, written after it: the fraction's into the point, the
+    # integer and the sign, the integer's into the sign; else fields are widened.
+    int_groups = -(-int_max // 4)
+    dot = sign + (1 if int_max == 1 else max(int_max, 4 * int_groups - sign))
+    frac_max = int(frac_digits.max(initial=1))
+    frac_groups = -(-frac_max // 4)
+    width = dot + 1 + max(frac_max, 4 * frac_groups - 1 - dot)
+    if shown.size:  # their fraction's columns end with "e-05" or "e+300"
+        exp_max = int(frac_digits[shown].max())
+        tail, exp_groups = 4 + int(np.abs(power).max() >= 100), -(-exp_max // 4)
+        width = max(width, dot + 1 + exp_max + tail, 4 * exp_groups + tail)
     if special.size:  # repr of each distinct bit pattern
-        bits, inverse = np.unique(x.view(np.uint64)[special], return_inverse=True)
-        fill = np.zeros((bits.size, out.shape[1]), dtype=np.uint8)
-        for row, value in zip(fill, bits.view(np.float64).tolist()):
-            text = repr(value).encode()
-            row[: len(text)] = np.frombuffer(text, np.uint8)
-        out[special] = fill[inverse]
+        patterns, inverse = np.unique(bits[special], return_inverse=True)
+        fallback = [repr(v).encode() for v in patterns.view(np.float64).tolist()]
+        width = max(width, *map(len, fallback))
+    out = np.zeros(shape + (width,), dtype=np.uint8) if frame is None else frame(width)
+    _write(out[..., width - 4 * frac_groups :], fraction, frac_digits, texts)
+    if int_max == 1:  # the digit and the point as one uint16
+        cell = integer.astype(np.uint16) + np.uint16(ord("0") + (ord(".") << 8))
+        out[..., dot - 1 : dot + 1].view(np.uint16)[..., 0] = cell.reshape(shape)
+    else:
+        integer *= _POW10.take(np.maximum(point - n, 0))
+        _write(out[..., dot - 4 * int_groups : dot], integer, np.maximum(point, 1), texts)
+        out[..., dot] = ord(".")
+    if shown.size:  # their rows written again
+        rows = np.zeros((shown.size, width), dtype=np.uint8)
+        fraction, frac_digits = fraction[shown], frac_digits[shown]
+        _write(rows[:, width - tail - 4 * exp_groups : -tail], fraction, frac_digits, texts)
+        rows[:, dot - 1], rows[:, dot] = integer[shown] + ord("0"), (frac_digits > 0) * ord(".")
+        rows[:, -tail], rows[:, 1 - tail] = ord("e"), ord("+") + 2 * (power < 0)  # "-" is "+" + 2
+        exponent = texts.take(_KEEP_OFFSETS[0, 2 + (np.abs(power) >= 100)] + np.abs(power))
+        rows[:, 2 - tail :] = exponent.view(np.uint8).reshape(-1, 4)[:, 6 - tail :]
+        out[np.unravel_index(shown, shape)] = rows
+    if sign:
+        out[np.unravel_index(negative, shape) + (0,)] = ord("-")
+    if special.size:
+        rows = np.array(fallback, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+        out[np.unravel_index(special, shape)] = rows[inverse]
     return out

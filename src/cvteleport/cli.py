@@ -336,38 +336,47 @@ def _text_rows(texts: Iterable[str]):
 def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[float]):
     """The sweep CSV, one string per chunk of rows.
 
-    A chunk is laid out as a NUL-padded byte matrix, a row per grid point;
-    deleting its NULs leaves the chunk's lines.  The criteria take their
-    text from ``_shortest.reprs``, the bytes of ``repr``, once per distinct
-    column of the chunk: columns with the same float64 bits share it (bits,
-    not ==, so that -0.0 and 0.0 keep their own text).
+    A chunk is laid out as one NUL-padded byte matrix, a row per grid point;
+    deleting its NULs leaves the chunk's lines.  Each criterion has a slot, a
+    comma and the text ``_shortest.reprs`` writes there, the bytes of
+    ``repr``: once per distinct column of the chunk, into the first slots,
+    then copied to the columns with the same float64 bits (bits, not ==, so
+    that -0.0 and 0.0 keep their own text).
     """
     import numpy as np
 
     from ._shortest import reprs
 
     gain_text = _text_rows(map(_fmt, lambda_grid))
-    resource_text = _text_rows(map(_fmt, resource_grid))
-    region_text = _text_rows(f"{region.value}\n" for region in Region)
+    resource_text = _text_rows(f",{_fmt(resource)}" for resource in resource_grid)
+    region_text = _text_rows(f",{region.value}\n" for region in Region)
     code = {region: k for k, region in enumerate(Region)}
     region_codes = np.fromiter(map(code.__getitem__, regions.tolist()), np.intp, len(regions))
-    comma = np.full((min(_SWEEP_CHUNK, len(regions)), 1), ord(","), dtype=np.uint8)
+    lead, tail = gain_text.shape[1] + resource_text.shape[1], region_text.shape[1]
     yield SWEEP_HEADER + "\n"
     for start in range(0, len(regions), _SWEEP_CHUNK):
         values = table[:, start : start + _SWEEP_CHUNK]
-        rows = values.shape[1]
-        bits = values.view(np.uint64)
-        # first[k]: the first criterion column with the bits of column k
-        first = (bits[:, None] == bits[None]).all(axis=2).argmax(axis=0)
-        distinct = np.flatnonzero(first == np.arange(len(first)))
-        texts = reprs(values[distinct]).reshape(len(distinct), rows, -1)
-        i, j = np.divmod(np.arange(start, start + rows), len(resource_grid))
-        sep = comma[:rows]
-        pieces = [gain_text[i], sep, resource_text[j], sep]
-        for k in np.searchsorted(distinct, first).tolist():
-            pieces += [texts[k], sep]
-        pieces.append(region_text[region_codes[start : start + rows]])
-        yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode()
+        (count, rows), point = values.shape, np.arange(start, start + values.shape[1])
+        columns = [column.tobytes() for column in values.view(np.uint64)]
+        first = [columns.index(column) for column in columns]  # the first with each one's bits
+        distinct = sorted(set(first))
+
+        def frame(width):  # the chunk's lines; the texts go to the first slots
+            lines = np.zeros((rows, lead + count * (width + 1) + tail), np.uint8)
+            return lines[:, lead:-tail].reshape(rows, count, -1)[:, : len(distinct), 1:]
+
+        lines = reprs(values[distinct].T, frame).base
+        slots = lines[:, lead:-tail].reshape(rows, count, -1)
+        moved = {k: distinct.index(c) for k, c in enumerate(first) if distinct.index(c) != k}
+        texts = {slot: slots[:, slot].copy() for slot in moved.values()}
+        for k, slot in moved.items():
+            slots[:, k] = texts[slot]
+        slots[..., 0] = ord(",")
+        lines[:, : gain_text.shape[1]] = gain_text.take(point // len(resource_grid), axis=0)
+        lines[:, gain_text.shape[1] : lead] = resource_text.take(point % len(resource_grid), axis=0)
+        lines[:, -tail:] = region_text.take(region_codes[start : start + rows], axis=0)
+        yield lines.tobytes().translate(None, b"\0").decode()
+        del lines, slots, texts  # so that one chunk's matrix is alive at a time
 
 
 def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:

@@ -430,6 +430,24 @@ class TestSweepText:
         text = "".join(cli._sweep_text(table, regions, lambda_grid, resource_grid))
         assert text == reference_sweep_text(table, regions, lambda_grid, resource_grid)
 
+    def test_one_full_chunk_of_every_layout(self):
+        """A 2048-row chunk mixing positional and exponent texts, powers of two, zeros, inf, nan."""
+        assert cli._SWEEP_CHUNK == 2048
+        rng = np.random.default_rng(2048)
+        pool = np.concatenate([
+            rng.uniform(-10.0, 10.0, 400),
+            rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-300.0, 300.0, 400),
+            rng.choice([-1.0, 1.0], 200) * 2.0 ** rng.integers(-1074, 1024, 200),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 1e-5, 123456789012345.6],
+        ])
+        table = rng.choice(pool, size=(len(cli.CRITERIA), 2048))
+        table[[1, 5]] = table[[0, 3]]  # columns that share their texts
+        regions = np.array([list(Region)[k % 3] for k in range(2048)], dtype=object)
+        lambda_grid = np.linspace(-2.0, 2.0, 32).tolist()
+        resource_grid = np.geomspace(1e-300, 1.0, 64).tolist()
+        text = "".join(cli._sweep_text(table, regions, lambda_grid, resource_grid))
+        assert text == reference_sweep_text(table, regions, lambda_grid, resource_grid)
+
 
 # Runs in a fresh interpreter: argv[1] is a sweep config, argv[2] an output path.
 COLD_START = """

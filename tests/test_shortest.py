@@ -61,6 +61,15 @@ def test_random_bit_patterns():
     assert mismatches(from_bits(bits)) == []
 
 
+def test_short_decimals_and_their_neighbours():
+    """Decimals of 1 to 17 digits reach the interval ends and the parity checks."""
+    rng = np.random.default_rng(14)
+    mantissas = rng.integers(1, 10 ** rng.integers(1, 18, size=100_000), dtype=np.int64)
+    exponents = rng.integers(-330, 311, size=100_000)
+    values = [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    assert mismatches(with_neighbours(values)) == []
+
+
 def test_empty_input():
     assert reprs(np.empty(0)).shape[0] == 0
 
