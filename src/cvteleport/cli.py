@@ -25,7 +25,7 @@ from collections.abc import Iterable
 from dataclasses import asdict
 from typing import Any
 
-from .criteria import CRITERIA, Region, _columns, _quads, classical_bound_check, classify
+from .criteria import CRITERIA, _REGIONS, _columns, _quads, classical_bound_check, classify
 from .montecarlo import Estimate, _estimates, sample_criteria
 from .predictions import BellParams, bell_s, symmetric_output_variance
 from .quadrature import InputState
@@ -231,14 +231,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _emit(pieces: str | Iterable[str], out_path: str | None) -> None:
-    if isinstance(pieces, str):
-        pieces = (pieces,)
+def _emit(pieces: str | Iterable[bytes], out_path: str | None) -> None:
+    """Write ``pieces`` to ``out_path``, or a str to standard output where there is none."""
     if out_path is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.write(pieces)
         return
+    if isinstance(pieces, str):
+        pieces = (pieces.encode(),)
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(out_path, "wb") as handle:
             handle.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
@@ -294,7 +295,7 @@ def _first_rejected(family: Family, gain: float, resource_grid: list[float]):
 
 
 def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float], state: InputState):
-    """The CRITERIA of the row-major grid, one column per point, and its regions.
+    """The CRITERIA of the row-major grid, one column per point, and its indices into _REGIONS.
 
     Each point's values are those of ``classify(_teleporter(family, gain,
     resource), state)``; the error of the first point, in row-major order,
@@ -309,7 +310,7 @@ def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float],
     gains = np.repeat(lambda_grid, len(resource_grid))
     resources = np.tile(resource_grid, len(lambda_grid))
     table = np.empty((len(CRITERIA), gains.size))
-    regions = np.empty(gains.size, dtype=object)
+    regions = np.empty(gains.size, np.intp)
     for start in range(0, gains.size, _SWEEP_CHUNK):
         chunk = slice(start, start + _SWEEP_CHUNK)
         gain = gains[chunk]
@@ -334,7 +335,7 @@ def _text_rows(texts: Iterable[str]):
 
 
 def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[float]):
-    """The sweep CSV, one string per chunk of rows.
+    """The sweep CSV as ASCII bytes: the header, then one piece per chunk of rows.
 
     A chunk is laid out as one NUL-padded byte matrix, a row per grid point;
     deleting its NULs leaves the chunk's lines.  Each criterion has a slot, a
@@ -349,11 +350,9 @@ def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[fl
 
     gain_text = _text_rows(map(_fmt, lambda_grid))
     resource_text = _text_rows(f",{_fmt(resource)}" for resource in resource_grid)
-    region_text = _text_rows(f",{region.value}\n" for region in Region)
-    code = {region: k for k, region in enumerate(Region)}
-    region_codes = np.fromiter(map(code.__getitem__, regions.tolist()), np.intp, len(regions))
+    region_text = _text_rows(f",{region.value}\n" for region in _REGIONS)
     lead, tail = gain_text.shape[1] + resource_text.shape[1], region_text.shape[1]
-    yield SWEEP_HEADER + "\n"
+    yield f"{SWEEP_HEADER}\n".encode()
     for start in range(0, len(regions), _SWEEP_CHUNK):
         values = table[:, start : start + _SWEEP_CHUNK]
         (count, rows), point = values.shape, np.arange(start, start + values.shape[1])
@@ -374,8 +373,8 @@ def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[fl
         slots[..., 0] = ord(",")
         lines[:, : gain_text.shape[1]] = gain_text.take(point // len(resource_grid), axis=0)
         lines[:, gain_text.shape[1] : lead] = resource_text.take(point % len(resource_grid), axis=0)
-        lines[:, -tail:] = region_text.take(region_codes[start : start + rows], axis=0)
-        yield lines.tobytes().translate(None, b"\0").decode()
+        lines[:, -tail:] = region_text.take(regions[start : start + rows], axis=0)
+        yield lines.tobytes().translate(None, b"\0")
         del lines, slots, texts  # so that one chunk's matrix is alive at a time
 
 

@@ -211,8 +211,8 @@ def _columns(quads) -> tuple[list[np.ndarray], np.ndarray]:
     The six arrays share one shape, and no quadrature has both a zero gain
     and zero noise.  Entries that :func:`_criteria` finds not regular are
     evaluated again by :func:`_exact`; the first entry, in C order, that it
-    rejects raises its ValueError.  The regions are a flat object array of
-    Region, one per entry in C order.
+    rejects raises its ValueError.  The regions are a flat integer array of
+    indices into _REGIONS, one per entry in C order.
     """
     import numpy as np
 
@@ -224,7 +224,7 @@ def _columns(quads) -> tuple[list[np.ndarray], np.ndarray]:
         point = _exact([tuple(x.flat[i].item() for x in quad) for quad in quads])
         for column, value in zip(columns, point):
             column.flat[i] = value
-    return columns, np.array(_REGIONS, dtype=object)[_region_index(columns[-1].ravel())]
+    return columns, _region_index(columns[-1].ravel())
 
 
 def _criterion(

@@ -132,17 +132,15 @@ def _quadrature_records(
     seed: int,
     block: int,
     length: int,
-    work: np.ndarray | None = None,
+    work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize one block of input and output records for one quadrature.
 
-    The records are written into rows 0 and 1 of ``work`` (shape (3, >= length),
-    allocated when absent); row 2 takes each noise draw.
+    The records are written into rows 0 and 1 of ``work`` (shape (3, >= length));
+    row 2 takes each noise draw.
     """
     import numpy as np
 
-    if work is None:
-        work = np.empty((3, length))
     x_in, x_out, z = work[:, :length]
     _stream(seed, "input", quad_tag, block).standard_normal(out=x_in)
     x_in *= math.sqrt(v_in)
@@ -171,10 +169,9 @@ def _run_sum(x: np.ndarray) -> float:
 def _block_sums(
     teleporter: Teleporter,
     state: InputState,
-    use_signals: bool,
     seed: int,
     bounds: tuple[int, int],
-    work: np.ndarray | None = None,
+    work: np.ndarray,
 ) -> tuple[float, ...]:
     """The five moment sums of each quadrature over one block, sampled into ``work``."""
     import numpy as np
@@ -182,15 +179,11 @@ def _block_sums(
     start, stop = bounds
     block = start // BLOCK_SHOTS
     length = stop - start
-    if work is None:
-        work = np.empty((3, length))
     product = work[2, :length]
     sums: list[float] = []
     for quad in ("+", "-"):
-        signal = state.signal(quad) if use_signals else 0.0
-        x_in, x_out = _quadrature_records(
-            teleporter.map_for(quad), state.variance(quad), signal, quad, seed, block, length, work
-        )
+        qmap, v_in, signal = teleporter.map_for(quad), state.variance(quad), state.signal(quad)
+        x_in, x_out = _quadrature_records(qmap, v_in, signal, quad, seed, block, length, work)
         sums.append(_run_sum(x_in))
         sums.append(_run_sum(np.multiply(x_in, x_in, out=product)))
         sums.append(_run_sum(x_out))
@@ -205,7 +198,6 @@ def _accumulate(
     n_shots: int,
     seed: int,
     workers: int,
-    use_signals: bool,
 ) -> list[tuple[float, float, float, float]]:
     """Sample all blocks and reduce them to (mean_out, g, V_in, N) per quadrature, + then -.
 
@@ -222,7 +214,7 @@ def _accumulate(
         work = np.empty((3, min(n_shots, BLOCK_SHOTS)))
         # Records that overflow are refused below, with their quadrature named.
         with np.errstate(over="ignore", invalid="ignore"):
-            return [_block_sums(teleporter, state, use_signals, seed, b, work) for b in share]
+            return [_block_sums(teleporter, state, seed, b, work) for b in share]
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -321,7 +313,8 @@ def sample_criteria(
     analytic = _quads(teleporter, state)  # also rejects zero gain with zero noise
     limit = math.sqrt(2 / (n_shots - 1)) * 2**52
     quads = []
-    moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=False)
+    signal_free = InputState(state.v_plus, state.v_minus)
+    moments = _accumulate(teleporter, signal_free, n_shots, seed, workers)
     for quad, (_, _, true_noise), (_, gain, v_in, noise) in zip("+-", analytic, moments):
         v_out = _signal(gain, v_in, noise)[1]
         if true_noise != 0.0 and not v_out < noise * limit:
@@ -351,7 +344,7 @@ def sample_signal_transfer(
     _validate(n_shots, seed, workers)
     if state.s_plus == 0.0 or state.s_minus == 0.0:
         raise ValueError("both test-signal amplitudes must be nonzero")
-    moments = _accumulate(teleporter, state, n_shots, seed, workers, use_signals=True)
+    moments = _accumulate(teleporter, state, n_shots, seed, workers)
 
     estimates = []
     for quad, (mean_out, *quad_params) in zip("+-", moments):

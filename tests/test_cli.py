@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from cvteleport import (
     InputState,
-    Region,
     added_noise_variance,
     classify,
     cli,
@@ -24,7 +24,9 @@ from cvteleport import (
     make_epr,
     make_single_mode,
 )
+from cvteleport.criteria import _REGIONS
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
 SWEEP_HEADER = "lambda,resource,ts_plus,ts_minus,t_t,vcv_plus,vcv_minus,v_t,c_f,v_cvf,region"
 
 
@@ -407,7 +409,7 @@ def reference_sweep_text(table, regions, lambda_grid, resource_grid):
     for point, row in enumerate(table.T.tolist()):
         i, j = divmod(point, len(resource_grid))
         values = [lambda_grid[i], resource_grid[j], *row]
-        lines.append(",".join([*map(repr, values), regions[point].value]))
+        lines.append(",".join([*map(repr, values), _REGIONS[regions[point]].value]))
     return "\n".join(lines) + "\n"
 
 
@@ -424,11 +426,11 @@ class TestSweepText:
         table = np.take_along_axis(subsets, rng.integers(0, 3, size=(rows, 8)), axis=1)
         table[: len(SWEEP_TEXT_ROWS)] = SWEEP_TEXT_ROWS[:rows]
         table = np.ascontiguousarray(table.T)
-        regions = np.array([list(Region)[k % 3] for k in range(rows)], dtype=object)
+        regions = np.arange(rows) % 3
         lambda_grid = np.linspace(-2.0, 2.0, shape[0]).tolist()
         resource_grid = np.geomspace(1e-300, 1.0, shape[1]).tolist()
-        text = "".join(cli._sweep_text(table, regions, lambda_grid, resource_grid))
-        assert text == reference_sweep_text(table, regions, lambda_grid, resource_grid)
+        text = b"".join(cli._sweep_text(table, regions, lambda_grid, resource_grid))
+        assert text == reference_sweep_text(table, regions, lambda_grid, resource_grid).encode()
 
     def test_one_full_chunk_of_every_layout(self):
         """A 2048-row chunk mixing positional and exponent texts, powers of two, zeros, inf, nan."""
@@ -442,11 +444,11 @@ class TestSweepText:
         ])
         table = rng.choice(pool, size=(len(cli.CRITERIA), 2048))
         table[[1, 5]] = table[[0, 3]]  # columns that share their texts
-        regions = np.array([list(Region)[k % 3] for k in range(2048)], dtype=object)
+        regions = np.arange(2048) % 3
         lambda_grid = np.linspace(-2.0, 2.0, 32).tolist()
         resource_grid = np.geomspace(1e-300, 1.0, 64).tolist()
-        text = "".join(cli._sweep_text(table, regions, lambda_grid, resource_grid))
-        assert text == reference_sweep_text(table, regions, lambda_grid, resource_grid)
+        text = b"".join(cli._sweep_text(table, regions, lambda_grid, resource_grid))
+        assert text == reference_sweep_text(table, regions, lambda_grid, resource_grid).encode()
 
 
 # Runs in a fresh interpreter: argv[1] is a sweep config, argv[2] an output path.
@@ -491,6 +493,17 @@ class TestColdStart:
         )
         assert result.returncode == 0, result.stderr
         assert len(out.read_text().splitlines()) == 1 + 3 * 4
+
+
+@pytest.mark.parametrize("name", ["bell", "squeeze", "mc_epr"])
+def test_stdout_is_the_golden_file(name):
+    # Without --out the text goes to standard output (sweep always needs --out).
+    command, config = name.partition("_")[0], GOLDEN_DIR / f"{name}.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "cvteleport", command, "--config", str(config)], capture_output=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN_DIR / f"{name}.golden.csv").read_bytes()
 
 
 class TestMc:

@@ -29,7 +29,7 @@ from cvteleport import (
     t_total,
     v_total,
 )
-from cvteleport.criteria import CRITERIA, _columns, _criteria, _point
+from cvteleport.criteria import CRITERIA, _REGIONS, _columns, _criteria, _point
 
 VACUUM = InputState(1.0, 1.0)
 
@@ -487,7 +487,7 @@ class TestArrayKernel:
             return
         columns, regions = _columns(quads)
         got = [
-            [repr(column[i].item()) for column in columns] + [regions[i]]
+            [repr(column[i].item()) for column in columns] + [_REGIONS[regions[i]]]
             for i in range(len(points))
         ]
         assert got == expected
@@ -556,7 +556,7 @@ class TestRescaledFieldCriteria:
             assert [column[i].item() for column in columns] == [
                 getattr(report, name) for name in CRITERIA
             ]
-            assert regions[i] is report.region
+            assert _REGIONS[regions[i]] is report.region
         c_f, v_cvf = columns[-2], columns[-1]
         assert np.all((0.0 <= c_f) & (c_f <= 1.0) & (v_cvf >= 0.0))
 

@@ -193,11 +193,12 @@ class TestDeterminism:
                 assert montecarlo._run_sum(x) == replica_block_sum(x.tolist()), n
 
         teleporter, state, seed = make_epr(1.0, 1.0), VACUUM, 42
-        sums = montecarlo._block_sums(teleporter, state, False, seed, (0, 20_000))
+        sums = montecarlo._block_sums(teleporter, state, seed, (0, 20_000), np.empty((3, 20_000)))
         replica = []
         for quad in "+-":
+            work = np.empty((3, 20_000))
             x_in, x_out = montecarlo._quadrature_records(
-                teleporter.map_for(quad), state.variance(quad), 0.0, quad, seed, 0, 20_000
+                teleporter.map_for(quad), state.variance(quad), 0.0, quad, seed, 0, 20_000, work
             )
             for record in (x_in, x_in * x_in, x_out, x_out * x_out, x_in * x_out):
                 replica.append(replica_block_sum(record.tolist()))
@@ -220,10 +221,11 @@ class TestDeterminism:
             return QuadratureMap(gain, terms[::-1])
 
         teleporter = make_custom(qmap(0.9, "p"), qmap(-1.3, "m"))
-        state = InputState(0.7, 1.6, s_plus=0.05, s_minus=-0.08)
+        state = InputState(0.7, 1.6, 0.05, -0.08) if use_signals else InputState(0.7, 1.6)
         work = np.full((3, montecarlo.BLOCK_SHOTS), np.nan)
-        reused = montecarlo._block_sums(teleporter, state, use_signals, 11, bounds, work)
-        assert reused == montecarlo._block_sums(teleporter, state, use_signals, 11, bounds)
+        fresh = np.empty((3, bounds[1] - bounds[0]))
+        reused = montecarlo._block_sums(teleporter, state, 11, bounds, work)
+        assert reused == montecarlo._block_sums(teleporter, state, 11, bounds, fresh)
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 1000])
     def test_worker_count_never_changes_either_sampler(self, workers):
