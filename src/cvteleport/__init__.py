@@ -33,7 +33,6 @@ from .predictions import (
     OptimalGain,
     bell_s,
     optimal_gain,
-    output_variance_symmetric,
     squeezing_preserved,
     symmetric_output_variance,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "make_single_mode",
     "optimal_gain",
     "output_variance",
-    "output_variance_symmetric",
     "sample_criteria",
     "sample_signal_transfer",
     "signal_transfer",

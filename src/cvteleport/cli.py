@@ -272,57 +272,37 @@ SWEEP_HEADER = ",".join(("lambda", "resource", *CRITERIA, "region"))
 _SWEEP_CHUNK = 2048  # grid points evaluated, and rows written, at a time
 
 
-def _first_rejected(family: Family, gain: float, resource_grid: list[float]):
-    """(index, error) of the first resource the family's constructor rejects, or None.
-
-    A constructor rejects only resources outside (0, 1] or with an added
-    noise that is not finite, so only those are built.
-    """
-    import numpy as np
-
-    if family == Family.CLASSICAL:
-        return None  # no resource parameter
-    resources = np.array(resource_grid)
-    with np.errstate(all="ignore"):
-        noise = _added_noise(family, gain, resources)
-    suspects = ~((resources > 0.0) & (resources <= 1.0) & np.isfinite(noise))
-    for j in np.flatnonzero(suspects).tolist():
-        try:
-            _teleporter(family, gain, resource_grid[j])
-        except ValueError as exc:
-            return j, exc
-    return None
-
-
 def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float], state: InputState):
     """The CRITERIA of the row-major grid, one column per point, and its indices into _REGIONS.
 
     Each point's values are those of ``classify(_teleporter(family, gain,
-    resource), state)``; the error of the first point, in row-major order,
-    that this rejects is raised before anything is returned.
+    resource), state)``.  A family teleporter that builds has criteria, so
+    each chunk first builds its points with a resource outside (0, 1] or an
+    added noise that is not finite: the constructor's error for the first,
+    in row-major order, is raised before anything is returned.
     """
     import numpy as np
 
-    rejected = _first_rejected(family, lambda_grid[0], resource_grid)
-    if rejected is not None:
-        # Only the first row's points before the rejected one can fail earlier.
-        lambda_grid, resource_grid = lambda_grid[:1], resource_grid[: rejected[0]]
     gains = np.repeat(lambda_grid, len(resource_grid))
     resources = np.tile(resource_grid, len(lambda_grid))
     table = np.empty((len(CRITERIA), gains.size))
     regions = np.empty(gains.size, np.intp)
     for start in range(0, gains.size, _SWEEP_CHUNK):
         chunk = slice(start, start + _SWEEP_CHUNK)
-        gain = gains[chunk]
+        gain, resource = gains[chunk], resources[chunk]
         with np.errstate(all="ignore"):
-            noise = _added_noise(family, gain, resources[chunk])
+            noise = _added_noise(family, gain, resource)
+        built = np.isfinite(noise)
+        if family != Family.CLASSICAL:  # the classical family ignores its resource
+            built &= (resource > 0.0) & (resource <= 1.0)
+        for point in (start + np.flatnonzero(~built)).tolist():
+            row, column = divmod(point, len(resource_grid))
+            _teleporter(family, lambda_grid[row], resource_grid[column])  # raises
         quads = (
             (gain, np.full_like(gain, state.v_plus), noise),
             (gain, np.full_like(gain, state.v_minus), noise),
         )
         table[:, chunk], regions[chunk] = _columns(quads)
-    if rejected is not None:
-        raise rejected[1]
     return table, regions
 
 

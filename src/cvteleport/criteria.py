@@ -170,8 +170,6 @@ def _exact(quads: Sequence[_Quad]) -> tuple[float, ...]:
     """The CRITERIA of one teleporter/input pair in rational arithmetic, each rounded once."""
     from fractions import Fraction
 
-    if not all(math.isfinite(n) for _, _, n in quads):
-        raise ValueError("field correlation undefined: the added noise overflows")
     (g_p, v_p, n_p), (g_m, v_m, n_m) = [[Fraction(x) for x in quad] for quad in quads]
     s_p, s_m = g_p * g_p * v_p, g_m * g_m * v_m
     v_out_p, v_out_m = s_p + n_p, s_m + n_m

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .quadrature import InputState, _frozen, output_variance
-from .teleporter import RESOURCE_NOISE, Family, Teleporter
+from .quadrature import _frozen, output_variance
+from .teleporter import RESOURCE_NOISE, Family, Teleporter, _check_resource
 
 
 @_frozen
@@ -55,17 +55,6 @@ def symmetric_output_variance(v_cvf: float, gain: float, v_in: float) -> float:
     if not math.isfinite(v_out):
         raise ValueError(f"output variance undefined: it is {v_out} at gain {gain}, v_in {v_in}")
     return v_out
-
-
-def output_variance_symmetric(
-    teleporter: Teleporter, state: InputState, quadrature: str = "+"
-) -> float:
-    """Output variance of one quadrature, v_cvf + gain**2 v_in on symmetric teleporters.
-
-    There v_cvf equals the added noise N bit for bit, so this is the generic
-    gain**2 v_in + N of :func:`output_variance`, which every teleporter uses.
-    """
-    return output_variance(teleporter.map_for(quadrature), state.variance(quadrature))
 
 
 def squeezing_preserved(teleporter: Teleporter, v_in_plus: float) -> bool:
@@ -112,8 +101,7 @@ def optimal_gain(family: Family, resource: float) -> OptimalGain:
     EPR family this is 2/(v_ent + 1/v_ent); for the single-mode resource the
     minimum is 1 for every squeezing level.
     """
-    if not 0.0 < resource <= 1.0:
-        raise ValueError(f"resource must lie in (0, 1], got {resource}")
+    _check_resource(resource, "resource")
     noise = RESOURCE_NOISE.get(family)
     if noise is None:
         raise ValueError(

@@ -7,7 +7,8 @@ boundary throughout the package.  Every type here is an immutable value and
 every operation a pure function.  The package's value types are frozen
 dataclasses whose ``__init__`` writes the fields straight into the instance
 dict and then validates them (see ``_frozen``); a ``QuadratureMap`` takes
-its added noise and its set of mode ids once, when built.
+its added noise and its set of mode ids once, when built, and a noise term
+or a sum of them past the float range is rejected there.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class NoiseTerm:
     (within one quadrature map or across the two maps of a teleporter) would
     be statistically dependent, which the model forbids.  ``variance`` is the
     latent mode's variance in shot-noise units; ``coefficient`` is the real
-    amplitude with which the mode enters the output quadrature.
+    amplitude with which the mode enters the output quadrature.  A term whose
+    ``coefficient**2 * variance`` overflows is rejected.
     """
 
     mode_id: str
@@ -61,7 +63,9 @@ class NoiseTerm:
     def __post_init__(self) -> None:
         if not self.variance > 0:
             raise ValueError(f"noise variance must be > 0, got {self.variance}")
-        if not math.isfinite(self.coefficient) or not math.isfinite(self.variance):
+        if not math.isfinite(self.coefficient * self.coefficient * self.variance):
+            if math.isfinite(self.coefficient) and math.isfinite(self.variance):
+                raise ValueError(f"added noise undefined: noise term {self.mode_id!r} overflows")
             raise ValueError("noise term coefficient and variance must be finite")
 
 
@@ -72,7 +76,8 @@ class QuadratureMap:
     ``gain`` is the real signal gain from input to output quadrature;
     ``noise`` lists the independent added-noise contributions.  The noise
     terms are kept as an explicit list so a sampling verifier can draw each
-    latent mode individually; their sum N is taken once, at construction.
+    latent mode individually; their sum N is taken once, at construction,
+    and a sum past the float range is rejected there.
     """
 
     gain: float
@@ -92,7 +97,7 @@ class QuadratureMap:
         try:
             total = math.fsum(squares)
         except OverflowError:
-            total = None  # finite terms whose sum overflows
+            raise ValueError("added noise undefined: the sum of the noise terms overflows")
         d = self.__dict__
         d["noise"], d["_mode_ids"], d["_noise"] = noise, mode_ids, total
 
@@ -145,12 +150,9 @@ def added_noise_variance(qmap: QuadratureMap) -> float:
     """Total added-noise variance N = sum of coefficient**2 * variance.
 
     fsum, taken when the map is built, makes the result independent of the
-    noise-term ordering.  Finite terms whose sum overflows raise ValueError.
+    noise-term ordering; it is finite, as the map rejects a sum that overflows.
     """
-    noise = qmap._noise
-    if noise is None:
-        raise ValueError("added noise undefined: the sum of the noise terms overflows")
-    return noise
+    return qmap._noise
 
 
 def output_variance(qmap: QuadratureMap, v_in: float) -> float:

@@ -93,10 +93,10 @@ def _noise_terms(family: Family, gain, resource):
 def _added_noise(family: Family, gain, resource):
     """Added-noise variance N of either quadrature of a family teleporter.
 
-    Element-wise over floats or arrays.  Each element equals
-    ``added_noise_variance(make_*(gain, resource).plus)`` bit for bit: the
-    same products in the same order, and fsum of two terms is their rounded
-    sum.
+    Element-wise over floats or arrays.  It is finite exactly where
+    ``make_*(gain, resource)`` builds (for a resource in (0, 1]), and there
+    equals ``added_noise_variance`` of either map bit for bit: the same
+    products in the same order, and fsum of two terms is their rounded sum.
     """
     (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
     return c_first * c_first * v_first + c_second * c_second * v_second

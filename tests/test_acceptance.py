@@ -34,7 +34,6 @@ from cvteleport import (
     make_single_mode,
     optimal_gain,
     output_variance,
-    output_variance_symmetric,
     sample_criteria,
     sample_signal_transfer,
     signal_transfer,
@@ -152,7 +151,7 @@ def test_criterion_06_squeezing_necessity():
         for gain in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
             for v_in in (0.01, 0.1, 0.3, 1.0, 5.0):
                 ok = ok and symmetric_output_variance(float(v_cvf), gain, v_in) >= 1.0
-    worked = output_variance_symmetric(make_epr(1.0, 0.25), InputState(0.3, 1.0 / 0.3), "+")
+    worked = output_variance(make_epr(1.0, 0.25).plus, 0.3)
     ok = ok and abs(worked - 0.8) <= 1e-12
     criterion(
         6,

@@ -296,7 +296,8 @@ def sorted_pair(values):
     return st.tuples(values, values).map(sorted)
 
 
-OVERFLOWING_NOISE = "field correlation undefined: the added noise overflows"
+# The constructors' error where (1 - gain)**2 / (2 v_ent) overflows.
+OVERFLOWING_NOISE = "added noise undefined: noise term 'ent_anti+' overflows"
 
 
 class TestArraySweep:
@@ -358,6 +359,17 @@ class TestArraySweep:
         expected = (1, f"error: {message}\n", None)
         assert per_point_sweep(config) == expected
         assert array_sweep(config, sweep_dir) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 4, 2048])
+    def test_overflowing_point_in_a_later_row_fails_as_its_constructor(self, chunk):
+        # The CLI's grids ascend, so its overflowing gains come first; unsorted
+        # rows put the first overflowing point in the third row.
+        lambda_grid, resource_grid = [0.0, 1.0, -2.0, -1.0], [0.5, 1e-308]
+        with pytest.raises(ValueError) as expected:
+            make_epr(-2.0, 1e-308)
+        with mock.patch.object(cli, "_SWEEP_CHUNK", chunk), pytest.raises(ValueError) as info:
+            cli._sweep(cli.Family.EPR, lambda_grid, resource_grid, InputState(1.0, 1.0))
+        assert str(info.value) == str(expected.value) == OVERFLOWING_NOISE
 
     def test_huge_inputs_match_exact_rationals(self, sweep_dir):
         # gain**2 V_in and the moment sums overflow here, yet every criterion
@@ -495,7 +507,7 @@ class TestColdStart:
         assert len(out.read_text().splitlines()) == 1 + 3 * 4
 
 
-@pytest.mark.parametrize("name", ["bell", "squeeze", "mc_epr"])
+@pytest.mark.parametrize("name", ["bell", "squeeze", "mc_epr", "report_epr"])
 def test_stdout_is_the_golden_file(name):
     # Without --out the text goes to standard output (sweep always needs --out).
     command, config = name.partition("_")[0], GOLDEN_DIR / f"{name}.json"
@@ -503,7 +515,8 @@ def test_stdout_is_the_golden_file(name):
         [sys.executable, "-m", "cvteleport", command, "--config", str(config)], capture_output=True
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == (GOLDEN_DIR / f"{name}.golden.csv").read_bytes()
+    suffix = "json" if command == "report" else "csv"
+    assert result.stdout == (GOLDEN_DIR / f"{name}.golden.{suffix}").read_bytes()
 
 
 class TestMc:

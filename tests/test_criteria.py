@@ -571,8 +571,8 @@ class TestRescaledFieldCriteria:
         assert field_conditional_variance(teleporter, state) >= 0.0
 
     def test_overflowing_noise_is_undefined(self):
-        loud = QuadratureMap(1.0, (NoiseTerm("a", 1e200, 1.0),))  # N = 1e400
-        with pytest.raises(ValueError, match="added noise overflows"):
+        with pytest.raises(ValueError, match="noise term 'a' overflows"):
+            loud = QuadratureMap(1.0, (NoiseTerm("a", 1e200, 1.0),))  # N = 1e400
             classify(make_custom(loud, QuadratureMap(1.0)), VACUUM)
 
 

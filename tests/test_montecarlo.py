@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo sampling verifier."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -203,6 +204,25 @@ class TestDeterminism:
             for record in (x_in, x_in * x_in, x_out, x_out * x_out, x_in * x_out):
                 replica.append(replica_block_sum(record.tolist()))
         assert sums == tuple(replica)
+
+    # SHA-256 of the first block of the mc golden's "+" input stream (seed 42),
+    # as little-endian bytes.  The golden depends on two numpy layers: the
+    # Philox bit stream and the normal transform on top of it.  A changed
+    # digest names the layer that changed.
+    STREAM_KEY = (42, "input", "+", 0)
+
+    def test_philox_words_match_digest(self):
+        words = montecarlo._stream(*self.STREAM_KEY).bit_generator.random_raw(
+            montecarlo.BLOCK_SHOTS
+        )
+        digest = hashlib.sha256(words.astype("<u8").tobytes()).hexdigest()
+        assert digest == "13026d209642fad22ce38e99aa616050c7a1a065d057b7860ac050b268a7bdd1"
+
+    def test_standard_normal_block_matches_digest(self):
+        block = np.empty(montecarlo.BLOCK_SHOTS)
+        montecarlo._stream(*self.STREAM_KEY).standard_normal(out=block)
+        digest = hashlib.sha256(block.astype("<f8").tobytes()).hexdigest()
+        assert digest == "3d12fe29593b841326910b4af007b7bdb3740655ec6dde4b5b0bfda4db4b48ee"
 
 
     @pytest.mark.parametrize("use_signals", [False, True])

@@ -15,7 +15,6 @@ from cvteleport import (
     make_single_mode,
     optimal_gain,
     output_variance,
-    output_variance_symmetric,
     squeezing_preserved,
     symmetric_output_variance,
 )
@@ -28,24 +27,18 @@ class TestOutputVarianceSymmetric:
         # v_cvf 0.5 plus unity-gain passthrough of the 0.3 input variance
         teleporter = make_epr(1.0, 0.25)
         state = InputState(0.3, 1.0 / 0.3)
-        assert output_variance_symmetric(teleporter, state, "+") == pytest.approx(
-            0.8, abs=1e-12
-        )
+        assert output_variance(teleporter.plus, state.v_plus) == pytest.approx(0.8, abs=1e-12)
 
     def test_no_entanglement_swamps_squeezing(self):
         teleporter = make_epr(1.0, 1.0)
         state = InputState(0.01, 100.0)
-        assert output_variance_symmetric(teleporter, state, "+") == pytest.approx(
-            2.01, abs=1e-12
-        )
+        assert output_variance(teleporter.plus, state.v_plus) == pytest.approx(2.01, abs=1e-12)
 
     def test_zero_gain_erases_input(self):
         teleporter = make_epr(0.0, 0.5)
         state = InputState(0.1, 10.0)
         v_cvf = field_conditional_variance(teleporter, state)
-        assert output_variance_symmetric(teleporter, state, "+") == pytest.approx(
-            v_cvf, abs=1e-12
-        )
+        assert output_variance(teleporter.plus, state.v_plus) == pytest.approx(v_cvf, abs=1e-12)
 
     @pytest.mark.parametrize("gain", [-1.5, -0.5, 0.0, 0.4, 1.0, 2.0])
     @pytest.mark.parametrize("v_ent", [0.1, 0.5, 1.0])
@@ -53,16 +46,16 @@ class TestOutputVarianceSymmetric:
     def test_matches_generic_form_on_grid(self, gain, v_ent, v_in):
         teleporter = make_epr(gain, v_ent)
         state = InputState(v_in, 1.0 / v_in)
-        special = output_variance_symmetric(teleporter, state, "+")
+        special = field_conditional_variance(teleporter, state) + gain * gain * v_in
         generic = output_variance(teleporter.plus, v_in)
         assert special == pytest.approx(generic, abs=1e-12)
 
     def test_non_epr_family_falls_back_to_generic(self):
         teleporter = make_single_mode(0.7, 0.5)
         state = InputState(0.4, 2.5)
-        assert output_variance_symmetric(teleporter, state, "+") == output_variance(
-            teleporter.plus, 0.4
-        )
+        # Symmetric gains: v_cvf is the added noise N bit for bit.
+        v_cvf = field_conditional_variance(teleporter, state)
+        assert output_variance(teleporter.plus, 0.4) == v_cvf + 0.7 * (0.7 * 0.4)
 
 
 class TestSqueezingPreserved:

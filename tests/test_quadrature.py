@@ -117,10 +117,11 @@ class TestAddedNoiseVariance:
         assert added_noise_variance(qmap) == pytest.approx(0.5, abs=1e-12)
 
     def test_sum_past_the_float_range_raises_value_error(self):
-        loud = QuadratureMap(1.0, (NoiseTerm("a", 1e154, 1.0), NoiseTerm("b", 1e154, 1.0)))
+        terms = (NoiseTerm("a", 1e154, 1.0), NoiseTerm("b", 1e154, 1.0))
         with pytest.raises(ValueError, match="overflows"):
-            added_noise_variance(loud)
+            added_noise_variance(QuadratureMap(1.0, terms))
         with pytest.raises(ValueError, match="overflows"):
+            loud = QuadratureMap(1.0, terms)
             classify(make_custom(loud, QuadratureMap(1.0)), InputState(1.0, 1.0))
 
 

@@ -176,7 +176,8 @@ FAMILY_MAKERS = {
 
 
 class TestAddedNoiseGrid:
-    """The array added noise of the sweep is the constructors' noise, bit for bit."""
+    """The array added noise of the sweep is finite exactly where the constructors
+    build, and there it is their noise, bit for bit."""
 
     @staticmethod
     def check(family, gains, resources):
@@ -184,7 +185,11 @@ class TestAddedNoiseGrid:
         with np.errstate(all="ignore"):
             noise = _added_noise(family, gain, resource).tolist()
         for g, r, n in zip(gain.tolist(), resource.tolist(), noise):
-            teleporter = FAMILY_MAKERS[family](g, r)
+            try:
+                teleporter = FAMILY_MAKERS[family](g, r)
+            except ValueError:
+                assert not math.isfinite(n), (family, g, r)
+                continue
             assert repr(n) == repr(added_noise_variance(teleporter.plus)), (family, g, r)
             assert repr(n) == repr(added_noise_variance(teleporter.minus)), (family, g, r)
 

@@ -35,9 +35,8 @@ from cvteleport import (
 )
 
 VACUUM = InputState(1.0, 1.0)
-# Finite terms whose squares are finite but whose sum overflows, and one whose square overflows.
+# Finite terms whose squares are finite but whose sum overflows.
 SUM_OVERFLOWS = (NoiseTerm("a", 1e154, 1.0), NoiseTerm("b", 1e154, 1.0))
-TERM_OVERFLOWS = (NoiseTerm("a", 1e200, 1.0),)
 
 
 def quadrature_map():
@@ -302,8 +301,9 @@ MESSAGES = [
         "signal transfer undefined: zero gain and zero added noise",
     ),
     (
-        lambda: classify(custom(TERM_OVERFLOWS), VACUUM),
-        "field correlation undefined: the added noise overflows",
+        # coefficient**2 * variance overflows: N would be 1e400
+        lambda: classify(custom((NoiseTerm("a", 1e200, 1.0),)), VACUUM),
+        "added noise undefined: noise term 'a' overflows",
     ),
     (
         lambda: classify(custom(SUM_OVERFLOWS), VACUUM),
@@ -314,7 +314,10 @@ MESSAGES = [
         "classical bound undefined for zero gain (or an underflowing gain**2)",
     ),
     (
-        lambda: classical_bound_check(custom(TERM_OVERFLOWS, (NoiseTerm("b", 1.0, 1.0),))),
+        # finite noises N+ = N- = 1e200 whose product overflows
+        lambda: classical_bound_check(
+            custom((NoiseTerm("a", 1e100, 1.0),), (NoiseTerm("b", 1e100, 1.0),))
+        ),
         "classical bound undefined: the noise product is inf",
     ),
     (
@@ -390,16 +393,24 @@ WIDE_TERMS = st.lists(
 @given(gain=st.floats(min_value=-3.0, max_value=3.0), pairs=WIDE_TERMS)
 @settings(max_examples=300, deadline=None)
 def test_stored_added_noise_is_the_fsum_of_the_terms(gain, pairs):
-    terms = tuple(NoiseTerm(f"m{i}", c, v) for i, (c, v) in enumerate(pairs))
-    qmap, reordered = QuadratureMap(gain, terms), QuadratureMap(gain, terms[::-1])
-    try:
-        expected = math.fsum([t.coefficient * t.coefficient * t.variance for t in terms])
-    except OverflowError:
-        for m in (qmap, reordered):
-            with pytest.raises(ValueError, match="sum of the noise terms overflows"):
-                added_noise_variance(m)
+    # A map builds, with a finite noise, or its term or its sum raises ValueError.
+    squares = [c * c * v for c, v in pairs]
+    overflowing = [i for i, square in enumerate(squares) if not math.isfinite(square)]
+    if overflowing:
+        with pytest.raises(ValueError, match=f"noise term 'm{overflowing[0]}' overflows"):
+            [NoiseTerm(f"m{i}", c, v) for i, (c, v) in enumerate(pairs)]
         return
-    # repr tells every float apart, also inf
+    terms = tuple(NoiseTerm(f"m{i}", c, v) for i, (c, v) in enumerate(pairs))
+    try:
+        expected = math.fsum(squares)
+    except OverflowError:
+        for ordered in (terms, terms[::-1]):
+            with pytest.raises(ValueError, match="sum of the noise terms overflows"):
+                QuadratureMap(gain, ordered)
+        return
+    qmap, reordered = QuadratureMap(gain, terms), QuadratureMap(gain, terms[::-1])
+    assert math.isfinite(expected)
+    # repr tells every float apart
     assert repr(added_noise_variance(qmap)) == repr(expected)
     assert repr(added_noise_variance(reordered)) == repr(expected)
     assert qmap.mode_ids == frozenset(t.mode_id for t in terms)
