@@ -20,8 +20,9 @@ asymmetry only: V_cvf >= V_t, with equality when the gains are equal.
 
 The criteria are evaluated in these forms, which do not cancel.  Where a
 product in them under- or overflows or C_f would round above 1 (extreme
-custom maps and inputs), every criterion is evaluated in exact rational
-arithmetic instead and rounded once.
+custom maps and inputs), the same forms are evaluated in exact rational
+arithmetic instead and each value is rounded once.  A V_cvf above the float
+range, which only a custom map's gain asymmetry reaches, raises ValueError.
 
 Operating regions are classified on V_cvf: ``strong`` below 1 (true EPR
 entanglement required, non-classical features can survive), ``intermediate``
@@ -47,6 +48,9 @@ if TYPE_CHECKING:
 BOUNDARY_TOL = 1e-12
 
 _MIN_NORMAL = sys.float_info.min
+
+# The error where V_cvf, as _exact gives it, is inf.
+_V_CVF_OVERFLOWS = "field conditional variance undefined: V_cvf passes the float range"
 
 # (gain, V_in, N) of one quadrature.
 _Quad = tuple[float, float, float]
@@ -126,28 +130,28 @@ def _signal(gain, v_in, noise):
 
 
 def _criteria(quads):
-    """The CRITERIA of (gain, V_in, N) per quadrature: one kernel for floats and arrays.
+    """The CRITERIA of (gain, V_in, N) per quadrature: one kernel for every route.
 
-    Each of the six entries of ``quads`` is a float or an array of one shape,
-    and only + - * / and comparisons touch them, so an array element rounds
-    exactly as the same floats do.  Returns the CRITERIA and whether they
-    are regular: the C_f denominator, each nonzero V_out and the factors of
-    the gain-asymmetry term are normal floats, C_f is at most 1 and V_cvf is
-    finite.  Regular values are within a few roundings of the exact ones;
-    the others are for :func:`_exact`.
+    Each of the six entries of ``quads`` is a float, an array of one shape or
+    a Fraction, and only + - * / and comparisons touch them, so an array
+    element rounds exactly as the same floats do and Fractions stay exact.
+    Returns the CRITERIA and whether they are regular: the C_f denominator,
+    each nonzero V_out and the factors of the gain-asymmetry term are normal
+    floats, C_f is at most 1 and V_cvf is finite.  Regular values are within
+    a few roundings of the exact ones; the others are for :func:`_exact`.
     """
     (g_p, v_p, n_p), (g_m, v_m, n_m) = quads
     ts_p, v_out_p = _signal(g_p, v_p, n_p)
     ts_m, v_out_m = _signal(g_m, v_m, n_m)
     cov_sum = g_p * v_p + g_m * v_m
     numerator, denominator = cov_sum * cov_sum, (v_p + v_m) * (v_out_p + v_out_m)
-    v_t = 0.5 * (n_p + n_m)
+    v_t = (n_p + n_m) / 2
     # V_cvf = V_t plus a gain-asymmetry term, v+ v- (g+ - g-)**2 / (2 (v+ + v-)).
     share = v_m / (v_p + v_m)
     scale = v_p * share
     diff = g_p - g_m
     # Left to right: where scale and the result are normal, so is each partial product.
-    asymmetry = scale * diff * diff * 0.5
+    asymmetry = scale * diff * diff / 2
     v_cvf = v_t + asymmetry
     regular = (
         (_MIN_NORMAL <= denominator)
@@ -167,25 +171,21 @@ def _criteria(quads):
 
 
 def _exact(quads: Sequence[_Quad]) -> tuple[float, ...]:
-    """The CRITERIA of one teleporter/input pair in rational arithmetic, each rounded once."""
+    """The CRITERIA of one teleporter/input pair: :func:`_criteria` in rational arithmetic.
+
+    Each value is rounded once, and a V_cvf above the float range is inf, so
+    that the other criteria of such a pair stay defined.
+    """
     from fractions import Fraction
 
-    (g_p, v_p, n_p), (g_m, v_m, n_m) = [[Fraction(x) for x in quad] for quad in quads]
-    s_p, s_m = g_p * g_p * v_p, g_m * g_m * v_m
-    v_out_p, v_out_m = s_p + n_p, s_m + n_m
-    if not v_out_p + v_out_m:
+    if not any(gain or noise for gain, _, noise in quads):
         raise ValueError("field correlation undefined: output carries no fluctuations")
-    # A noise-free quadrature passes all of its signal, as in _signal.
-    ts_p = s_p / v_out_p if v_out_p else Fraction(1)
-    ts_m = s_m / v_out_m if v_out_m else Fraction(1)
-    v_t = (n_p + n_m) / 2
-    v_cvf = v_t + v_p * v_m * (g_p - g_m) ** 2 / (2 * (v_p + v_m))
-    c_f = (g_p * v_p + g_m * v_m) ** 2 / ((v_p + v_m) * (v_out_p + v_out_m))
+    values, _ = _criteria([[Fraction(x) for x in quad] for quad in quads])
     try:
-        v_cvf = float(v_cvf)
-    except OverflowError:
+        v_cvf = float(values[-1])
+    except OverflowError:  # the only value that can: the others are at most 2 or some N
         v_cvf = math.inf
-    return (*map(float, (ts_p, ts_m, ts_p + ts_m, n_p, n_m, v_t, c_f)), v_cvf)
+    return (*map(float, values[:-1]), v_cvf)
 
 
 def _point(quads: Sequence[_Quad]) -> tuple[float, ...]:
@@ -209,8 +209,9 @@ def _columns(quads) -> tuple[list[np.ndarray], np.ndarray]:
     The six arrays share one shape, and no quadrature has both a zero gain
     and zero noise.  Entries that :func:`_criteria` finds not regular are
     evaluated again by :func:`_exact`; the first entry, in C order, that it
-    rejects raises its ValueError.  The regions are a flat integer array of
-    indices into _REGIONS, one per entry in C order.
+    rejects or whose V_cvf it finds inf raises the ValueError of
+    :func:`classify`.  The regions are a flat integer array of indices into
+    _REGIONS, one per entry in C order.
     """
     import numpy as np
 
@@ -220,16 +221,11 @@ def _columns(quads) -> tuple[list[np.ndarray], np.ndarray]:
     columns[3:5] = [noise.copy() for noise in values[3:5]]  # not the caller's N arrays
     for i in np.flatnonzero(~regular).tolist():
         point = _exact([tuple(x.flat[i].item() for x in quad) for quad in quads])
+        if point[-1] == math.inf:
+            raise ValueError(_V_CVF_OVERFLOWS)
         for column, value in zip(columns, point):
             column.flat[i] = value
     return columns, _region_index(columns[-1].ravel())
-
-
-def _criterion(
-    name: str, teleporter: Teleporter, state: InputState, transfer: bool = True
-) -> float:
-    """The criterion ``name`` (one of CRITERIA) of a teleporter/input pair."""
-    return _point(_quads(teleporter, state, transfer))[CRITERIA.index(name)]
 
 
 def signal_transfer(qmap: QuadratureMap, v_in: float) -> float:
@@ -254,12 +250,12 @@ def conditional_variance(qmap: QuadratureMap, v_in: float) -> float:
 
 def t_total(teleporter: Teleporter, state: InputState) -> float:
     """Quadrature sum of signal transfer coefficients, in [0, 2]."""
-    return _criterion("t_t", teleporter, state)
+    return _point(_quads(teleporter, state))[CRITERIA.index("t_t")]
 
 
 def v_total(teleporter: Teleporter, state: InputState) -> float:
     """Quadrature average of conditional variances."""
-    return _criterion("v_t", teleporter, state)
+    return _point(_quads(teleporter, state))[CRITERIA.index("v_t")]
 
 
 def field_correlation(teleporter: Teleporter, state: InputState) -> float:
@@ -269,7 +265,7 @@ def field_correlation(teleporter: Teleporter, state: InputState) -> float:
     quadrature moments is (cov+ + cov-)**2 / ((V_in+ + V_in-)(V_out+ + V_out-)).
     1 for identical fields, 0 for independent ones.
     """
-    return _criterion("c_f", teleporter, state, transfer=False)
+    return _point(_quads(teleporter, state, transfer=False))[CRITERIA.index("c_f")]
 
 
 def field_conditional_variance(teleporter: Teleporter, state: InputState) -> float:
@@ -277,9 +273,12 @@ def field_conditional_variance(teleporter: Teleporter, state: InputState) -> flo
 
     Evaluated as V_t + v+ v- (g+ - g-)**2 / (2 (v+ + v-)): at least V_t,
     with equality when the gains are equal, and at least 1 for independent
-    fields.
+    fields.  A value above the float range raises ValueError.
     """
-    return _criterion("v_cvf", teleporter, state, transfer=False)
+    v_cvf = _point(_quads(teleporter, state, transfer=False))[-1]
+    if v_cvf == math.inf:
+        raise ValueError(_V_CVF_OVERFLOWS)
+    return v_cvf
 
 
 def classical_bound_check(teleporter: Teleporter) -> ClassicalBoundCheck:
@@ -308,21 +307,15 @@ def classify(teleporter: Teleporter, state: InputState) -> CriteriaReport:
     ``c_plus``/``c_minus`` carry the squared input-output correlation C,
     which equals T_s in this model.  ``both_violated`` requires strict
     violation of both classical bounds (T_t > 1 and V_t < 1, with a 1e-12
-    guard band so boundary cases do not count as violations).
+    guard band so boundary cases do not count as violations).  A V_cvf
+    above the float range raises ValueError.
     """
     ts_p, ts_m, t_t, vcv_p, vcv_m, v_t, c_f, v_cvf = _point(_quads(teleporter, state))
-    # Positional: keyword arguments would cost more than the criteria.
+    if v_cvf == math.inf:
+        raise ValueError(_V_CVF_OVERFLOWS)
+    # Positional and named: keywords or a *values[3:] call would slow every call.
     return CriteriaReport(
-        ts_p,
-        ts_m,
-        t_t,
-        ts_p,  # c_plus
-        ts_m,  # c_minus
-        vcv_p,
-        vcv_m,
-        v_t,
-        c_f,
-        v_cvf,
+        ts_p, ts_m, t_t, ts_p, ts_m, vcv_p, vcv_m, v_t, c_f, v_cvf,  # c_plus, c_minus: C = T_s
         _REGIONS[_region_index(v_cvf)],
         (t_t > 1.0 + BOUNDARY_TOL) and (v_t < 1.0 - BOUNDARY_TOL),
         state.minimum_uncertainty,

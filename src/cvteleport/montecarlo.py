@@ -38,10 +38,9 @@ under Python 3.11.7 wrote ``tests/golden/mc_epr.golden.csv``.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 from typing import TYPE_CHECKING
 
-from .criteria import _point, _quads, _signal
+from .criteria import CRITERIA, _point, _quads, _signal
 from .quadrature import InputState, QuadratureMap, _frozen
 from .teleporter import Teleporter
 
@@ -62,32 +61,19 @@ class Estimate:
     std_error: float
 
 
+# What sample_criteria estimates: the CRITERIA, output variances and in-out covariances.
+QUANTITIES = (*CRITERIA, "v_out_plus", "v_out_minus", "cov_plus", "cov_minus")
+
+
 @_frozen
 class SampleStats:
-    """Monte Carlo criteria estimates with delta-method standard errors."""
+    """Monte Carlo estimates of the QUANTITIES, with delta-method standard errors."""
 
-    n_shots: int
-    seed: int
-    ts_plus: Estimate
-    ts_minus: Estimate
-    t_t: Estimate
-    vcv_plus: Estimate
-    vcv_minus: Estimate
-    v_t: Estimate
-    c_f: Estimate
-    v_cvf: Estimate
-    v_out_plus: Estimate
-    v_out_minus: Estimate
-    cov_plus: Estimate
-    cov_minus: Estimate
+    __annotations__ = {"n_shots": "int", "seed": "int", **dict.fromkeys(QUANTITIES, "Estimate")}
 
     def as_dict(self) -> dict[str, Estimate]:
-        """Estimates keyed by quantity name, in canonical order."""
-        return {name: getattr(self, name) for name in _NAMES}
-
-
-# Quantity names, in SampleStats field order.
-_NAMES = tuple(f.name for f in fields(SampleStats) if f.type == "Estimate")
+        """Estimates keyed by quantity name, in QUANTITIES order."""
+        return {name: getattr(self, name) for name in QUANTITIES}
 
 
 @_frozen
@@ -280,14 +266,14 @@ def _delta_method(func, params: Sequence[float], errors: Sequence[float]) -> lis
 
 
 def _quantities(params: Sequence[float]) -> tuple[float, ...]:
-    """``_NAMES`` quantities of (g, V_in, N) per quadrature; the criteria by ``criteria._point``."""
+    """QUANTITIES of (g, V_in, N) per quadrature; the criteria by ``criteria._point``."""
     g_p, v_p, n_p, g_m, v_m, n_m = params
     plus, minus = (g_p, v_p, n_p), (g_m, v_m, n_m)
     return (*_point((plus, minus)), _signal(*plus)[1], _signal(*minus)[1], g_p * v_p, g_m * v_m)
 
 
 def _estimates(quads: Sequence[tuple[float, float, float]], n_shots: int) -> list[Estimate]:
-    """``_NAMES`` quantities of (g, V_in, N) per quadrature, with their errors at n_shots."""
+    """QUANTITIES of (g, V_in, N) per quadrature, with their errors at n_shots."""
     errors = [error for quad in quads for error in _errors(*quad, n_shots)]
     return _delta_method(_quantities, [x for quad in quads for x in quad], errors)
 

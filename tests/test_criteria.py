@@ -519,6 +519,9 @@ def rounded(value: Fraction) -> float:
         return math.inf
 
 
+V_CVF_OVERFLOWS = "field conditional variance undefined: V_cvf passes the float range"
+
+
 def kernel_teleporter(point):
     (g_p, _, n_p), (g_m, _, n_m) = point
     return make_custom(noise_map(g_p, n_p, "p"), noise_map(g_m, n_m, "m"))
@@ -565,10 +568,14 @@ class TestRescaledFieldCriteria:
     def test_rescaled_c_f_is_exact_to_rounding(self, point):
         assume(not _criteria(point)[1])  # the entries evaluated in exact rationals
         teleporter, state = kernel_teleporter(point), InputState(point[0][1], point[1][1])
-        c_f = field_correlation(teleporter, state)
+        c_f, exact = field_correlation(teleporter, state), exact_criteria(point)
         assert 0.0 <= c_f <= 1.0
-        assert abs(Fraction(c_f) - exact_criteria(point)["c_f"]) <= 1e-15
-        assert field_conditional_variance(teleporter, state) >= 0.0
+        assert abs(Fraction(c_f) - exact["c_f"]) <= 1e-15
+        if rounded(exact["v_cvf"]) == math.inf:
+            with pytest.raises(ValueError, match=V_CVF_OVERFLOWS):
+                field_conditional_variance(teleporter, state)
+        else:
+            assert field_conditional_variance(teleporter, state) >= 0.0
 
     def test_overflowing_noise_is_undefined(self):
         with pytest.raises(ValueError, match="noise term 'a' overflows"):
@@ -628,8 +635,6 @@ class TestFullRange:
     @settings(max_examples=1000, deadline=None)
     def test_criteria_match_exact_rationals(self, point):
         values = _point(point)
-        report = classify(kernel_teleporter(point), InputState(point[0][1], point[1][1]))
-        assert [repr(getattr(report, name)) for name in CRITERIA] == list(map(repr, values))
         assert not any(map(math.isnan, values))
         got, exact = dict(zip(CRITERIA, values)), exact_criteria(point)
         for name in ("ts_plus", "ts_minus", "t_t", "c_f"):
@@ -642,6 +647,13 @@ class TestFullRange:
             assert abs(Fraction(got["v_cvf"]) - exact["v_cvf"]) <= 1e-15 * exact["v_cvf"]
         else:
             assert got["v_cvf"] == v_cvf
+        teleporter, state = kernel_teleporter(point), InputState(point[0][1], point[1][1])
+        if v_cvf == math.inf:  # the kernel's other values stand
+            with pytest.raises(ValueError, match=V_CVF_OVERFLOWS):
+                classify(teleporter, state)
+            return
+        report = classify(teleporter, state)
+        assert [repr(getattr(report, name)) for name in CRITERIA] == list(map(repr, values))
         # Away from the snapped boundaries, the region of the exact V_cvf.
         assume(all(abs(exact["v_cvf"] - edge) > 1e-11 for edge in (1, 2)))
         index = (exact["v_cvf"] >= 1) + (exact["v_cvf"] >= 2)

@@ -335,7 +335,8 @@ class TestDeltaMethod:
         # kernel; the defining forms in raw moments are the oracle.  |corr|
         # <= 0.999 bounds the cancellation in 1 - C to a factor of 500.
         kernel = montecarlo._quantities([*regression(*plus), *regression(*minus)])
-        for name, got, want in zip(montecarlo._NAMES, kernel, criteria_from_moments(*plus, *minus)):
+        moments = criteria_from_moments(*plus, *minus)
+        for name, got, want in zip(montecarlo.QUANTITIES, kernel, moments):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15), name
 
     def test_noise_free_parameters_are_skipped(self, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvteleport
 from cvteleport import (
     BellParams,
     CriteriaReport,
@@ -16,11 +17,15 @@ from cvteleport import (
     InputState,
     NoiseTerm,
     QuadratureMap,
+    SampleStats,
     Teleporter,
     added_noise_variance,
     bell_s,
     classical_bound_check,
     classify,
+    conditional_variance,
+    field_conditional_variance,
+    field_correlation,
     in_out_covariance,
     make_classical_measure_resend,
     make_custom,
@@ -30,9 +35,13 @@ from cvteleport import (
     output_variance,
     sample_criteria,
     sample_signal_transfer,
+    signal_transfer,
     squeezing_preserved,
     symmetric_output_variance,
+    t_total,
+    v_total,
 )
+from cvteleport.montecarlo import QUANTITIES
 
 VACUUM = InputState(1.0, 1.0)
 # Finite terms whose squares are finite but whose sum overflows.
@@ -153,6 +162,14 @@ class TestFieldsAndRepr:
                 + ", region: 'Region', both_violated: 'bool', "
                 "input_minimum_uncertainty: 'bool') -> None",
             ),
+            (
+                SampleStats,
+                [("n_shots", "int", MISSING), ("seed", "int", MISSING)]
+                + [(name, "Estimate", MISSING) for name in QUANTITIES],
+                "(n_shots: 'int', seed: 'int', "
+                + ", ".join(f"{name}: 'Estimate'" for name in QUANTITIES)
+                + ") -> None",
+            ),
         ],
     )
     def test_fields_and_signature(self, cls, fields, signature):
@@ -260,6 +277,7 @@ def custom(plus_terms, minus_terms=()):
 NOT_FINITE = "input state variances and signals must be finite"
 TERM_NOT_FINITE = "noise term coefficient and variance must be finite"
 SUM_OVERFLOW_MESSAGE = "added noise undefined: the sum of the noise terms overflows"
+V_CVF_OVERFLOWS = "field conditional variance undefined: V_cvf passes the float range"
 
 # Every ValueError message of the constructors and of the single-point entry
 # points, exactly.
@@ -308,6 +326,17 @@ MESSAGES = [
     (
         lambda: classify(custom(SUM_OVERFLOWS), VACUUM),
         SUM_OVERFLOW_MESSAGE,
+    ),
+    (
+        # V_cvf = v+ v- (g+ - g-)**2 / (2 (v+ + v-)) = 1e400
+        lambda: classify(make_custom(QuadratureMap(1e200), QuadratureMap(-1e200)), VACUUM),
+        V_CVF_OVERFLOWS,
+    ),
+    (
+        lambda: field_conditional_variance(
+            make_custom(QuadratureMap(1e200), QuadratureMap(-1e200)), VACUUM
+        ),
+        V_CVF_OVERFLOWS,
     ),
     (
         lambda: classical_bound_check(make_epr(0.0, 0.5)),
@@ -414,3 +443,186 @@ def test_stored_added_noise_is_the_fsum_of_the_terms(gain, pairs):
     assert repr(added_noise_variance(qmap)) == repr(expected)
     assert repr(added_noise_variance(reordered)) == repr(expected)
     assert qmap.mode_ids == frozenset(t.mode_id for t in terms)
+
+
+
+# The float strategies of test_criteria.TestFullRange: gains over +-[0, 1e308]
+# with subnormals, variances over [5e-324, 1.7e308], and zero added noise.
+FULL_GAINS = st.floats(min_value=-1e308, max_value=1e308)
+FULL_VARIANCES = st.floats(min_value=5e-324, max_value=1.7e308)
+FULL_NOISES = st.one_of(st.just(0.0), FULL_VARIANCES)
+# Resources inside (0, 1] and past it.
+RESOURCES = st.one_of(st.floats(min_value=5e-324, max_value=1.0), FULL_VARIANCES)
+
+
+def full_map(data, mode_id):
+    """A map of a full-range gain and added noise: one unit-coefficient term or none."""
+    noise = data.draw(FULL_NOISES)
+    return QuadratureMap(data.draw(FULL_GAINS), (NoiseTerm(mode_id, 1.0, noise),) if noise else ())
+
+
+def full_teleporter(data):
+    """A family or custom teleporter of full-range parameters."""
+    family = data.draw(st.sampled_from(Family))
+    if family is Family.CUSTOM:
+        return make_custom(full_map(data, "p"), full_map(data, "m"))
+    if family is Family.CLASSICAL:
+        return make_classical_measure_resend(data.draw(FULL_GAINS))
+    make = make_epr if family is Family.EPR else make_single_mode
+    return make(data.draw(FULL_GAINS), data.draw(RESOURCES))
+
+
+def full_state(data):
+    """An input state of full-range variances and signals (zero included)."""
+    v_plus, v_minus = data.draw(FULL_VARIANCES), data.draw(FULL_VARIANCES)
+    return InputState(v_plus, v_minus, data.draw(FULL_GAINS), data.draw(FULL_GAINS))
+
+
+def full_bell(data):
+    return BellParams(data.draw(FULL_GAINS), data.draw(FULL_GAINS), data.draw(FULL_NOISES))
+
+
+def valid_report(c):
+    return (
+        0.0 <= c.ts_plus <= 1.0
+        and 0.0 <= c.ts_minus <= 1.0
+        and 0.0 <= c.t_t <= 2.0
+        and (c.c_plus, c.c_minus) == (c.ts_plus, c.ts_minus)
+        and min(c.vcv_plus, c.vcv_minus, c.v_t) >= 0.0
+        and 0.0 <= c.c_f <= 1.0
+        and c.v_cvf >= c.v_t
+    )
+
+
+def valid_errors(stats):
+    return all(getattr(stats, f.name).std_error >= 0.0 for f in dataclasses.fields(stats)[2:])
+
+
+# Each public entry point: its call on drawn full-range arguments, and what a
+# meaningful result of it satisfies.
+ENTRY_POINTS = {
+    "NoiseTerm": (
+        lambda d: NoiseTerm("m", d.draw(FULL_GAINS), d.draw(FULL_VARIANCES)),
+        lambda term: term.variance > 0.0,
+    ),
+    "QuadratureMap": (lambda d: full_map(d, "m"), lambda qmap: added_noise_variance(qmap) >= 0.0),
+    "InputState": (full_state, lambda state: state.v_plus > 0.0 and state.v_minus > 0.0),
+    "Teleporter": (
+        lambda d: Teleporter(full_map(d, "p"), full_map(d, "m")),
+        lambda teleporter: teleporter.family is Family.CUSTOM,
+    ),
+    "BellParams": (full_bell, lambda params: params.s_i <= 1.5 and params.v_cvf >= 0.0),
+    "make_epr": (
+        lambda d: make_epr(d.draw(FULL_GAINS), d.draw(RESOURCES)),
+        lambda teleporter: teleporter.symmetric,
+    ),
+    "make_single_mode": (
+        lambda d: make_single_mode(d.draw(FULL_GAINS), d.draw(RESOURCES)),
+        lambda teleporter: teleporter.symmetric,
+    ),
+    "make_classical_measure_resend": (
+        lambda d: make_classical_measure_resend(d.draw(FULL_GAINS)),
+        lambda teleporter: teleporter.symmetric,
+    ),
+    "make_custom": (
+        lambda d: make_custom(full_map(d, "p"), full_map(d, "m")),
+        lambda teleporter: teleporter.family is Family.CUSTOM,
+    ),
+    "added_noise_variance": (lambda d: added_noise_variance(full_map(d, "m")), lambda n: n >= 0.0),
+    "output_variance": (
+        lambda d: output_variance(full_map(d, "m"), d.draw(FULL_VARIANCES)),
+        lambda v_out: v_out >= 0.0,
+    ),
+    "in_out_covariance": (
+        lambda d: in_out_covariance(full_map(d, "m"), d.draw(FULL_VARIANCES)),
+        lambda cov: True,
+    ),
+    "signal_transfer": (
+        lambda d: signal_transfer(full_map(d, "m"), d.draw(FULL_VARIANCES)),
+        lambda ts: 0.0 <= ts <= 1.0,
+    ),
+    "conditional_variance": (
+        lambda d: conditional_variance(full_map(d, "m"), d.draw(FULL_VARIANCES)),
+        lambda vcv: vcv >= 0.0,
+    ),
+    "classify": (lambda d: classify(full_teleporter(d), full_state(d)), valid_report),
+    "t_total": (lambda d: t_total(full_teleporter(d), full_state(d)), lambda t: 0.0 <= t <= 2.0),
+    "v_total": (lambda d: v_total(full_teleporter(d), full_state(d)), lambda v: v >= 0.0),
+    "field_correlation": (
+        lambda d: field_correlation(full_teleporter(d), full_state(d)),
+        lambda c_f: 0.0 <= c_f <= 1.0,
+    ),
+    "field_conditional_variance": (
+        lambda d: field_conditional_variance(full_teleporter(d), full_state(d)),
+        lambda v_cvf: v_cvf >= 0.0,
+    ),
+    "classical_bound_check": (
+        lambda d: classical_bound_check(full_teleporter(d)),
+        lambda check: check.product >= 0.0,
+    ),
+    "squeezing_preserved": (
+        lambda d: squeezing_preserved(full_teleporter(d), d.draw(FULL_VARIANCES)),
+        lambda preserved: isinstance(preserved, bool),
+    ),
+    "symmetric_output_variance": (
+        lambda d: symmetric_output_variance(
+            d.draw(FULL_NOISES), d.draw(FULL_GAINS), d.draw(FULL_VARIANCES)
+        ),
+        lambda v_out: v_out >= 0.0,
+    ),
+    "bell_s": (lambda d: bell_s(full_bell(d)), lambda s: True),
+    "optimal_gain": (
+        lambda d: optimal_gain(d.draw(st.sampled_from(Family)), d.draw(RESOURCES)),
+        lambda optimum: -1.0 <= optimum.gain <= 1.0 and optimum.v_cvf_min > 0.0,
+    ),
+    "sample_criteria": (
+        lambda d: sample_criteria(full_teleporter(d), full_state(d), 100, 1),
+        valid_errors,
+    ),
+    "sample_signal_transfer": (
+        lambda d: sample_signal_transfer(full_teleporter(d), full_state(d), 100, 1),
+        lambda stats: valid_errors(stats)
+        and min(stats.ts_plus_hat.value, stats.ts_minus_hat.value) >= 0.0,
+    ),
+}
+# The public result types and enums: only the entry points above build them
+# from floats, and their results are checked.
+RESULTS = [
+    "ClassicalBoundCheck",
+    "CriteriaReport",
+    "Estimate",
+    "Family",
+    "OptimalGain",
+    "Region",
+    "SampleStats",
+    "SignalTransferStats",
+]
+
+
+def finite(value) -> bool:
+    """Whether every float in ``value``, a result or a value type, is finite."""
+    if dataclasses.is_dataclass(value):
+        return all(finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return all(map(finite, value))
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value is None or isinstance(value, (int, str))
+
+
+def test_every_public_callable_has_an_entry_point_row():
+    assert sorted([*ENTRY_POINTS, *RESULTS]) == sorted(cvteleport.__all__)
+    assert all(callable(getattr(cvteleport, name)) for name in cvteleport.__all__)
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_full_range_gives_finite_meaningful_values_or_value_error(name, data):
+    call, meaningful = ENTRY_POINTS[name]
+    try:
+        result = call(data)
+    except ValueError:
+        return
+    assert finite(result), result
+    assert meaningful(result), result
