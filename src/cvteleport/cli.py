@@ -20,6 +20,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict
@@ -232,15 +234,24 @@ def _fmt(value: float) -> str:
 
 
 def _emit(pieces: str | Iterable[bytes], out_path: str | None) -> None:
-    """Write ``pieces`` to ``out_path``, or a str to standard output where there is none."""
+    """Write ``pieces`` to ``out_path``, or a str to standard output where there is none.
+
+    The file is overwritten in place and then cut to what was written, also
+    when a piece raises; a non-regular file (``/dev/null``, a FIFO) is not cut.
+    Truncating first costs more: the file system frees the old blocks before the write.
+    """
     if out_path is None:
         sys.stdout.write(pieces)
         return
     if isinstance(pieces, str):
         pieces = (pieces.encode(),)
     try:
-        with open(out_path, "wb") as handle:
-            handle.writelines(pieces)
+        with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            try:
+                handle.writelines(pieces)
+            finally:
+                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    handle.truncate()
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
@@ -384,6 +395,7 @@ def _cmd_mc(config: dict[str, Any], args: argparse.Namespace) -> int:
     state = _input_state(config)
     shots = _value(config, "mc.shots", int, 100_000)
     seed = _value(config, "mc.seed", int, 0)
+    out_path = _value(config, "out", str, None)
 
     stats = sample_criteria(teleporter, state, shots, seed, workers=args.workers)
     analytic = _estimates(_quads(teleporter, state), shots)
@@ -404,10 +416,9 @@ def _cmd_mc(config: dict[str, Any], args: argparse.Namespace) -> int:
         row = map(_fmt, (expected.value, estimate.value, error, z))
         lines.append(",".join([name, *row, "PASS" if ok else "FAIL"]))
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    out_path = _value(config, "out", str, None)
-    if out_path:
+    if out_path:  # first, so that a failed write leaves standard output empty
         _emit(text, out_path)
+    sys.stdout.write(text)
     n_pass = sum(1 for line in lines[1:] if line.endswith(",PASS"))
     print(f"mc verification: {n_pass}/{len(lines) - 1} PASS", file=sys.stderr)
     return 0 if all_pass else 2

@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -668,6 +671,117 @@ class TestMcWorkers:
         assert result.returncode == 1
         assert result.stderr.startswith("error: workers must be at least 1")
         assert "Traceback" not in result.stderr
+
+
+class TestMcOut:
+    """``mc`` checks ``out`` before it samples and writes the file before stdout."""
+
+    def run_mc(self, tmp_path, monkeypatch, capsys, **fields):
+        config = tmp_path / "mc.json"
+        point = {"family": "epr", "lambda": 1.0, "resource": 1.0, "mc": {"shots": 2000, "seed": 1}}
+        config.write_text(json.dumps({**point, **fields}))
+        calls = []
+        sample_criteria = cli.sample_criteria
+
+        def spy(*args, workers):
+            calls.append(workers)
+            return sample_criteria(*args, workers=workers)
+
+        monkeypatch.setattr(cli, "sample_criteria", spy)
+        code = cli.main(["mc", "--config", str(config)])
+        return code, calls, capsys.readouterr()
+
+    def test_malformed_out_stops_before_sampling(self, tmp_path, monkeypatch, capsys):
+        code, calls, captured = self.run_mc(tmp_path, monkeypatch, capsys, out=5)
+        assert (code, calls, captured.out) == (1, [], "")
+        assert captured.err == "error: out must be of type str, got 5\n"
+
+    def test_unwritable_out_prints_no_table(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "no" / "such" / "table.csv")
+        code, calls, captured = self.run_mc(tmp_path, monkeypatch, capsys, out=out)
+        assert (code, calls, captured.out) == (1, [1], "")
+        assert captured.err.startswith("error: cannot write output file")
+
+
+# (command, config, golden file) of every command with a golden file.
+GOLDEN_COMMANDS = [
+    ("sweep", "sweep_epr.json", "sweep_epr.golden.csv"),
+    ("report", "report_epr.json", "report_epr.golden.json"),
+    ("bell", "bell.json", "bell.golden.csv"),
+    ("squeeze", "squeeze.json", "squeeze.golden.csv"),
+    ("mc", "mc_epr.json", "mc_epr.golden.csv"),
+]
+
+
+def write_golden(command, config, out):
+    """(exit code, error lines) of ``cli.main`` running a golden config with ``--out out``."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--config", str(GOLDEN_DIR / config), "--out", str(out)])
+    return code, [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+
+
+class TestOutFile:
+    """``--out`` is overwritten in place and cut to the output's length."""
+
+    @pytest.mark.parametrize("before", ["missing", "shorter", "longer"])
+    @pytest.mark.parametrize("command,config,golden", GOLDEN_COMMANDS)
+    def test_ends_as_the_golden_file(self, tmp_path, command, config, golden, before):
+        expected = (GOLDEN_DIR / golden).read_bytes()
+        out = tmp_path / golden
+        if before != "missing":  # 1 byte, or 4097 bytes longer than the output
+            out.write_bytes(b"\xff" * (1 if before == "shorter" else len(expected) + 4097))
+        assert write_golden(command, config, out) == (0, [])
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("command,config,golden", GOLDEN_COMMANDS)
+    def test_dev_null(self, command, config, golden):
+        assert write_golden(command, config, os.devnull) == (0, [])
+
+    @pytest.mark.parametrize("command,config,golden", GOLDEN_COMMANDS)
+    def test_fifo_receives_the_output(self, tmp_path, command, config, golden):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert write_golden(command, config, fifo) == (0, [])
+        reader.join(timeout=60)
+        assert received == [(GOLDEN_DIR / golden).read_bytes()]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_new_file_mode_is_that_of_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            result = write_golden("bell", "bell.json", tmp_path / "bell.csv")
+        finally:
+            os.umask(previous)
+        assert result == (0, [])
+        written = stat.S_IMODE((tmp_path / "bell.csv").stat().st_mode)
+        assert written == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o666 & ~umask
+
+    def test_hard_link_sees_the_new_content(self, tmp_path):
+        out, link = tmp_path / "sweep.csv", tmp_path / "link.csv"
+        out.write_bytes(b"old row\n" * 10_000)
+        os.link(out, link)
+        inode = out.stat().st_ino
+        assert write_golden("sweep", "sweep_epr.json", out) == (0, [])
+        assert out.stat().st_ino == inode
+        assert link.read_bytes() == (GOLDEN_DIR / "sweep_epr.golden.csv").read_bytes()
+
+    def test_raising_piece_leaves_only_what_was_written(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old row\n" * 10_000)
+
+        def pieces():
+            yield b"first piece\n"
+            raise ValueError("second piece")
+
+        with pytest.raises(ValueError, match="second piece"):
+            cli._emit(pieces(), str(out))
+        assert out.read_bytes() == b"first piece\n"
 
 
 EPR_POINT = {"family": "epr", "lambda": 1.0, "resource": 0.5}
