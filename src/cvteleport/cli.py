@@ -236,9 +236,10 @@ def _fmt(value: float) -> str:
 def _emit(pieces: str | Iterable[bytes], out_path: str | None) -> None:
     """Write ``pieces`` to ``out_path``, or a str to standard output where there is none.
 
-    The file is overwritten in place and then cut to what was written, also
-    when a piece raises; a non-regular file (``/dev/null``, a FIFO) is not cut.
-    Truncating first costs more: the file system frees the old blocks before the write.
+    The file is overwritten in place and cut at what reached it, also when a
+    write raises; a non-regular file (``/dev/null``, a FIFO) is not cut.
+    Unlike a truncating open, this starts no write-out on ext4 at close, so
+    a power loss soon after can leave the new length over old bytes.
     """
     if out_path is None:
         sys.stdout.write(pieces)
@@ -249,9 +250,11 @@ def _emit(pieces: str | Iterable[bytes], out_path: str | None) -> None:
         with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
             try:
                 handle.writelines(pieces)
-            finally:
-                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                    handle.truncate()
+                handle.flush()
+            finally:  # what is still buffered after a raise goes after the cut, at close
+                info = os.fstat(handle.fileno())
+                if stat.S_ISREG(info.st_mode) and info.st_size > handle.raw.tell():
+                    os.ftruncate(handle.fileno(), handle.raw.tell())
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -782,6 +783,21 @@ class TestOutFile:
         with pytest.raises(ValueError, match="second piece"):
             cli._emit(pieces(), str(out))
         assert out.read_bytes() == b"first piece\n"
+
+    def test_failing_flush_leaves_only_what_reached_the_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old row\n" * 10_000)
+
+        class FullDisk(io.FileIO):  # takes 5 bytes, then fails as a full disk does
+            def write(self, data):
+                if self.tell() >= 5:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(bytes(data[: 5 - self.tell()]))
+
+        monkeypatch.setattr(cli, "open", lambda fd, mode: io.BufferedWriter(FullDisk(fd, mode)), raising=False)
+        with pytest.raises(cli.ConfigError, match="No space left on device"):
+            cli._emit((b"first piece\n", b"second piece\n"), str(out))
+        assert out.read_bytes() == b"first"
 
 
 EPR_POINT = {"family": "epr", "lambda": 1.0, "resource": 0.5}
