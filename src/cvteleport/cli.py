@@ -31,16 +31,10 @@ from .criteria import CRITERIA, _REGIONS, _columns, _quads, classical_bound_chec
 from .montecarlo import Estimate, _estimates, sample_criteria
 from .predictions import BellParams, bell_s, symmetric_output_variance
 from .quadrature import InputState
-from .teleporter import (
-    Family,
-    Teleporter,
-    _added_noise,
-    make_classical_measure_resend,
-    make_epr,
-    make_single_mode,
-)
+from .teleporter import RESOURCE_NOISE, Family, Teleporter, _added_noise, _make
 
 MAX_CLI_GAIN = 2.0
+_FAMILIES = [family.value for family in Family if family is not Family.CUSTOM]
 
 
 class ConfigError(Exception):
@@ -59,7 +53,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--family", choices=[f.value for f in Family if f is not Family.CUSTOM])
+    common.add_argument("--family", choices=_FAMILIES)
     common.add_argument("--lambda", dest="lam", type=float, help="teleporter gain, in [-2, 2]")
     common.add_argument("--resource", type=float, help="V_ent or V_s, in (0, 1]")
     common.add_argument("--vin-plus", type=float, help="input amplitude-quadrature variance")
@@ -181,31 +175,22 @@ def _input_state(config: dict[str, Any]) -> InputState:
     return InputState(
         v_plus=_value(config, "input.v_plus", float, 1.0),
         v_minus=_value(config, "input.v_minus", float, 1.0),
-        s_plus=_value(config, "input.s_plus", float, 0.0),
-        s_minus=_value(config, "input.s_minus", float, 0.0),
     )
-
-
-_MAKERS = {
-    Family.EPR: make_epr,
-    Family.SINGLE_MODE: make_single_mode,
-    Family.CLASSICAL: lambda gain, resource: make_classical_measure_resend(gain),
-}
 
 
 def _family(name: str) -> Family:
     """The built-in family called ``name``."""
-    if name not in _MAKERS:
+    if name not in _FAMILIES:
         raise ConfigError(f"unknown family: {name}")
     return Family(name)
 
 
-def _teleporter(family: str, gain: float, resource: float | None) -> Teleporter:
-    """Built-in teleporter; the classical family ignores ``resource``."""
-    make = _MAKERS[_family(family)]
-    if resource is None and family != Family.CLASSICAL:
+def _teleporter(name: str, gain: float, resource: float | None) -> Teleporter:
+    """Built-in teleporter; a family outside ``RESOURCE_NOISE`` ignores ``resource``."""
+    family = _family(name)
+    if resource is None and family in RESOURCE_NOISE:
         raise ConfigError("missing required field: resource")
-    return make(gain, resource)
+    return _make(family, gain, resource)
 
 
 def _grid(config: dict[str, Any], field: str, default: tuple | None = None) -> list[float]:
@@ -289,11 +274,11 @@ _SWEEP_CHUNK = 2048  # grid points evaluated, and rows written, at a time
 def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float], state: InputState):
     """The CRITERIA of the row-major grid, one column per point, and its indices into _REGIONS.
 
-    Each point's values are those of ``classify(_teleporter(family, gain,
-    resource), state)``.  A family teleporter that builds has criteria, so
-    each chunk first builds its points with a resource outside (0, 1] or an
-    added noise that is not finite: the constructor's error for the first,
-    in row-major order, is raised before anything is returned.
+    Each point's values are those of ``classify(_make(family, gain, resource),
+    state)``.  A family teleporter that builds has criteria, and it builds
+    exactly where ``_added_noise`` is finite, so each chunk first builds its
+    points with a noise that is not finite: the constructor's error for the
+    first, in row-major order, is raised before anything is returned.
     """
     import numpy as np
 
@@ -306,12 +291,9 @@ def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float],
         gain, resource = gains[chunk], resources[chunk]
         with np.errstate(all="ignore"):
             noise = _added_noise(family, gain, resource)
-        built = np.isfinite(noise)
-        if family != Family.CLASSICAL:  # the classical family ignores its resource
-            built &= (resource > 0.0) & (resource <= 1.0)
-        for point in (start + np.flatnonzero(~built)).tolist():
+        for point in (start + np.flatnonzero(~np.isfinite(noise))).tolist():
             row, column = divmod(point, len(resource_grid))
-            _teleporter(family, lambda_grid[row], resource_grid[column])  # raises
+            _make(family, lambda_grid[row], resource_grid[column])  # raises
         quads = (
             (gain, np.full_like(gain, state.v_plus), noise),
             (gain, np.full_like(gain, state.v_minus), noise),
@@ -373,17 +355,16 @@ def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[fl
 
 
 def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:
-    family = _value(config, "family", str)
+    name = _value(config, "family", str)
     out_path = _value(config, "out", str)
     lambda_grid = [_check_gain(g) for g in _grid(config, "sweep.lambda")]
-    if family == Family.CLASSICAL.value:
-        # No resource parameter; record the equivalent no-entanglement level.
-        resource_grid = _grid(config, "sweep.resource", (1.0, 1.0, 1))
-    else:
-        resource_grid = _grid(config, "sweep.resource")
+    family = _family(name)
+    # A family without a resource records the equivalent no-entanglement level.
+    no_resource = None if family in RESOURCE_NOISE else (1.0, 1.0, 1)
+    resource_grid = _grid(config, "sweep.resource", no_resource)
     state = _input_state(config)
     # Every point is evaluated and checked before the output file is opened.
-    table, regions = _sweep(_family(family), lambda_grid, resource_grid, state)
+    table, regions = _sweep(family, lambda_grid, resource_grid, state)
     _emit(_sweep_text(table, regions, lambda_grid, resource_grid), out_path)
     return 0
 
@@ -419,7 +400,7 @@ def _cmd_mc(config: dict[str, Any], args: argparse.Namespace) -> int:
         row = map(_fmt, (expected.value, estimate.value, error, z))
         lines.append(",".join([name, *row, "PASS" if ok else "FAIL"]))
     text = "\n".join(lines) + "\n"
-    if out_path:  # first, so that a failed write leaves standard output empty
+    if out_path is not None:  # first, so that a failed write leaves standard output empty
         _emit(text, out_path)
     sys.stdout.write(text)
     n_pass = sum(1 for line in lines[1:] if line.endswith(",PASS"))

@@ -91,15 +91,18 @@ def _noise_terms(family: Family, gain, resource):
 
 
 def _added_noise(family: Family, gain, resource):
-    """Added-noise variance N of either quadrature of a family teleporter.
+    """Added-noise variance N of either quadrature of a family teleporter, over arrays.
 
-    Element-wise over floats or arrays.  It is finite exactly where
-    ``make_*(gain, resource)`` builds (for a resource in (0, 1]), and there
+    It is NaN where a resource family's resource lies outside (0, 1], so it is
+    finite exactly where ``_make(family, gain, resource)`` builds, and there
     equals ``added_noise_variance`` of either map bit for bit: the same
     products in the same order, and fsum of two terms is their rounded sum.
     """
     (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
-    return c_first * c_first * v_first + c_second * c_second * v_second
+    noise = c_first * c_first * v_first + c_second * c_second * v_second
+    if family in RESOURCE_NOISE:
+        noise[~((resource > 0.0) & (resource <= 1.0))] = math.nan
+    return noise
 
 
 # Latent mode ids of each family: its two noise modes in the + map, then in the - map.
@@ -108,15 +111,22 @@ _MODE_IDS = {
     Family.SINGLE_MODE: ("sms_corr+", "sms_anti+", "sms_corr-", "sms_anti-"),
     Family.CLASSICAL: ("meas+", "fresh+", "meas-", "fresh-"),
 }
+# The name of each resource family's resource in its errors.
+_RESOURCE_NAMES = {Family.EPR: "v_ent", Family.SINGLE_MODE: "v_s"}
 
 
-def _family_maps(family: Family, gain: float, resource: float | None):
-    """The (plus, minus) maps of a family teleporter, with the mode ids of ``_MODE_IDS``."""
+def _make(family: Family, gain: float, resource: float | None) -> Teleporter:
+    """A built-in teleporter; the classical family ignores ``resource`` and records None."""
+    if family in RESOURCE_NOISE:
+        _check_resource(resource, _RESOURCE_NAMES[family])
+    else:
+        resource = None
     (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
     first_p, second_p, first_m, second_m = _MODE_IDS[family]
     plus = (NoiseTerm(first_p, c_first, v_first), NoiseTerm(second_p, c_second, v_second))
     minus = (NoiseTerm(first_m, c_first, v_first), NoiseTerm(second_m, c_second, v_second))
-    return QuadratureMap(gain, plus), QuadratureMap(gain, minus)
+    maps = QuadratureMap(gain, plus), QuadratureMap(gain, minus)
+    return Teleporter(*maps, family, gain=gain, resource=resource)
 
 
 def make_epr(gain: float, v_ent: float) -> Teleporter:
@@ -127,9 +137,7 @@ def make_epr(gain: float, v_ent: float) -> Teleporter:
     so the added noise per quadrature is
     (1+gain)**2 * v_ent / 2 + (1-gain)**2 / (2 * v_ent).
     """
-    _check_resource(v_ent, "v_ent")
-    plus, minus = _family_maps(Family.EPR, gain, v_ent)
-    return Teleporter(plus, minus, Family.EPR, gain=gain, resource=v_ent)
+    return _make(Family.EPR, gain, v_ent)
 
 
 def make_single_mode(gain: float, v_s: float) -> Teleporter:
@@ -140,9 +148,7 @@ def make_single_mode(gain: float, v_s: float) -> Teleporter:
     independent terms with coefficients (1+gain)/sqrt(2), (1-gain)/sqrt(2)
     and variances (1+v_s)/2, (1+1/v_s)/2.
     """
-    _check_resource(v_s, "v_s")
-    plus, minus = _family_maps(Family.SINGLE_MODE, gain, v_s)
-    return Teleporter(plus, minus, Family.SINGLE_MODE, gain=gain, resource=v_s)
+    return _make(Family.SINGLE_MODE, gain, v_s)
 
 
 def make_classical_measure_resend(gain: float) -> Teleporter:
@@ -153,8 +159,7 @@ def make_classical_measure_resend(gain: float) -> Teleporter:
     fluctuations of the fresh output field (coefficient 1).  Criteria-wise
     this coincides with ``make_epr(gain, 1.0)``.
     """
-    plus, minus = _family_maps(Family.CLASSICAL, gain, None)
-    return Teleporter(plus, minus, Family.CLASSICAL, gain=gain, resource=None)
+    return _make(Family.CLASSICAL, gain, None)
 
 
 def make_custom(plus: QuadratureMap, minus: QuadratureMap) -> Teleporter:

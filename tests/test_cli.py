@@ -211,6 +211,15 @@ class TestSweep:
         result = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 1
 
+    def test_classical_without_resource_records_one(self, tmp_path):
+        config = self.sweep_config(
+            tmp_path, family="classical", sweep={"lambda": {"min": 0.5, "max": 1.0, "steps": 2}}
+        )
+        out = tmp_path / "classical.csv"
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["0.5", "1.0"], ["1.0", "1.0"]]
+
 
 PER_POINT_MAKERS = {
     "epr": make_epr,
@@ -698,10 +707,10 @@ class TestMcOut:
         assert captured.err == "error: out must be of type str, got 5\n"
 
     def test_unwritable_out_prints_no_table(self, tmp_path, monkeypatch, capsys):
-        out = str(tmp_path / "no" / "such" / "table.csv")
-        code, calls, captured = self.run_mc(tmp_path, monkeypatch, capsys, out=out)
-        assert (code, calls, captured.out) == (1, [1], "")
-        assert captured.err.startswith("error: cannot write output file")
+        for out in (str(tmp_path / "no" / "such" / "table.csv"), ""):
+            code, calls, captured = self.run_mc(tmp_path, monkeypatch, capsys, out=out)
+            assert (code, calls, captured.out) == (1, [1], "")
+            assert captured.err.startswith("error: cannot write output file")
 
 
 # (command, config, golden file) of every command with a golden file.
@@ -842,6 +851,17 @@ class TestMalformedConfig:
         assert result.returncode == 1
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("family", ["custom", "bogus"])
+    @pytest.mark.parametrize("command", ["report", "sweep", "mc"])
+    def test_unknown_family(self, tmp_path, capsys, command, family):
+        config = {**EPR_POINT, "family": family, "out": str(tmp_path / "out")}
+        config.update(mc={"shots": 2000}, sweep={"lambda": GRID, "resource": GRID})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: unknown family: {family}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_flag_does_not_replace_a_malformed_section(self, tmp_path):
         path = tmp_path / "config.json"

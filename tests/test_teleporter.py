@@ -168,6 +168,8 @@ class TestCustom:
 
 NOISE_EDGE_GAINS = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e-170, 0.3]
 NOISE_EDGE_RESOURCES = [1.0, 0.5, 1e-300, 1e-308, 5.6e-309, 2.2250738585072014e-308]
+# Outside (0, 1]: the resource families reject them and the classical family ignores them.
+NOISE_EDGE_RESOURCES += [0.0, -0.0, -0.5, 1.5, math.inf, math.nan]
 FAMILY_MAKERS = {
     Family.EPR: make_epr,
     Family.SINGLE_MODE: make_single_mode,
