@@ -99,16 +99,12 @@ class QuadratureMap:
         except OverflowError:
             raise ValueError("added noise undefined: the sum of the noise terms overflows")
         d = self.__dict__
-        d["noise"], d["_mode_ids"], d["_noise"] = noise, mode_ids, total
+        d["noise"], d["mode_ids"], d["_noise"] = noise, mode_ids, total
 
     def __setstate__(self, state: dict) -> None:
         # Pickles of earlier versions hold only the fields: derive the rest again.
         self.__dict__.update(state)
         self.__post_init__()
-
-    @property
-    def mode_ids(self) -> frozenset[str]:
-        return self._mode_ids
 
 
 @_frozen

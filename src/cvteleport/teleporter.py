@@ -117,15 +117,19 @@ _RESOURCE_NAMES = {Family.EPR: "v_ent", Family.SINGLE_MODE: "v_s"}
 
 def _make(family: Family, gain: float, resource: float | None) -> Teleporter:
     """A built-in teleporter; the classical family ignores ``resource`` and records None."""
-    if family in RESOURCE_NOISE:
-        _check_resource(resource, _RESOURCE_NAMES[family])
-    else:
-        resource = None
-    (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
-    first_p, second_p, first_m, second_m = _MODE_IDS[family]
-    plus = (NoiseTerm(first_p, c_first, v_first), NoiseTerm(second_p, c_second, v_second))
-    minus = (NoiseTerm(first_m, c_first, v_first), NoiseTerm(second_m, c_second, v_second))
-    maps = QuadratureMap(gain, plus), QuadratureMap(gain, minus)
+    name = _RESOURCE_NAMES.get(family, "resource")
+    try:
+        if family in RESOURCE_NOISE:
+            _check_resource(resource, name)
+        else:
+            resource = None
+        (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
+        first_p, second_p, first_m, second_m = _MODE_IDS[family]
+        plus = (NoiseTerm(first_p, c_first, v_first), NoiseTerm(second_p, c_second, v_second))
+        minus = (NoiseTerm(first_m, c_first, v_first), NoiseTerm(second_m, c_second, v_second))
+        maps = QuadratureMap(gain, plus), QuadratureMap(gain, minus)
+    except TypeError:  # a gain or resource that is not a number
+        raise ValueError(f"gain and {name} must be numbers, got {gain!r}, {resource!r}") from None
     return Teleporter(*maps, family, gain=gain, resource=resource)
 
 

@@ -29,9 +29,17 @@ from cvteleport import (
     make_single_mode,
 )
 from cvteleport.criteria import _REGIONS
+from cvteleport.montecarlo import Estimate, _estimates
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SWEEP_HEADER = "lambda,resource,ts_plus,ts_minus,t_t,vcv_plus,vcv_minus,v_t,c_f,v_cvf,region"
+
+
+def corrupted_estimates(quads, n_shots):
+    """The mc gate's analytic values with the first 0.1 too high; 20 000 shots must fail it."""
+    analytic = _estimates(quads, n_shots)
+    analytic[0] = Estimate(analytic[0].value + 0.1, analytic[0].std_error)
+    return analytic
 
 
 def run_cli(*args, cwd=None):
@@ -561,23 +569,13 @@ class TestMc:
         )
         assert result.returncode == 0
 
-    def test_corrupted_analytic_fails_with_exit_2(self):
-        result = run_cli(
-            "mc",
-            "--family",
-            "epr",
-            "--lambda",
-            "1",
-            "--resource",
-            "1",
-            "--shots",
-            "20000",
-            "--seed",
-            "42",
-            "--corrupt-analytic",
-        )
-        assert result.returncode == 2
-        assert any(line.endswith(",FAIL") for line in result.stdout.splitlines())
+    def test_corrupted_analytic_fails_with_exit_2(self, capsys):
+        argv = ["mc", "--family=epr", "--lambda=1", "--resource=1", "--shots=20000", "--seed=42"]
+        with mock.patch.object(cli, "_estimates", corrupted_estimates):
+            assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert any(line.endswith(",FAIL") for line in out.splitlines())
+        assert "mc verification: 11/12 PASS" in err
 
     # High and low signal-to-noise, where the raw-moment delta method
     # reported false FAILs, and past the float64 resolution limit.
@@ -666,7 +664,8 @@ class TestMcWorkers:
 
         monkeypatch.setattr(cli, "sample_criteria", spy)
         argv = ["mc", "--config", str(config)]
-        assert cli.main([*argv, "--workers", "3", "--corrupt-analytic"]) == 2
+        with mock.patch.object(cli, "_estimates", corrupted_estimates):
+            assert cli.main([*argv, "--workers", "3"]) == 2
         assert cli.main(argv) == 0
         assert cli.main([*argv, "--workers", "2"]) == 0
         assert cli.main(argv) == 0
@@ -1015,11 +1014,11 @@ class TestFuzz:
             if flag in ("--config", "--out"):
                 value = fuzz_dir / value
             argv.append(f"{flag}={value}")
-        if command == "mc" and corrupt:
-            argv.append("--corrupt-analytic")
+        estimates = corrupted_estimates if corrupt else cli._estimates
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
+            with mock.patch.object(cli, "_estimates", estimates):
+                code = cli.main(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in stderr.getvalue()
         if code == 1:

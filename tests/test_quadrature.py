@@ -1,5 +1,6 @@
 """Tests for the Gaussian quadrature fluctuation algebra."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -61,6 +62,8 @@ class TestQuadratureMap:
     def test_mode_ids(self):
         qmap = QuadratureMap(1.0, (NoiseTerm("a", 1.0, 1.0), NoiseTerm("b", 0.0, 1.0)))
         assert qmap.mode_ids == frozenset({"a", "b"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qmap.mode_ids = frozenset()
 
 
 class TestInputState:

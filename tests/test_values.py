@@ -311,6 +311,13 @@ MESSAGES = [
     (lambda: make_single_mode(1.0, 2.0), "v_s must lie in (0, 1], got 2.0"),
     (lambda: make_epr(math.inf, 0.5), TERM_NOT_FINITE),
     (lambda: make_classical_measure_resend(math.nan), TERM_NOT_FINITE),
+    (lambda: make_epr(1.0, None), "gain and v_ent must be numbers, got 1.0, None"),
+    (lambda: make_epr("a", 0.5), "gain and v_ent must be numbers, got 'a', 0.5"),
+    (lambda: make_single_mode(1.0, "x"), "gain and v_s must be numbers, got 1.0, 'x'"),
+    (
+        lambda: make_classical_measure_resend(None),
+        "gain and resource must be numbers, got None, None",
+    ),
     (lambda: BellParams(math.inf, 1.0, 1.0), "Bell parameters s_i, gain and v_cvf must be finite"),
     (lambda: BellParams(1.6, 1.0, 1.0), "s_i cannot exceed 1.5, got 1.6"),
     (lambda: BellParams(1.5, 1.0, -0.5), "v_cvf must be nonnegative, got -0.5"),
