@@ -47,20 +47,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Each flag that overrides a config field: (flag, dotted field, argparse options).
+# The field is the flag's dest, so --help names it and _merge reads it back.
+_FLAGS = (
+    ("--family", "family", {"choices": _FAMILIES}),
+    ("--lambda", "lambda", {"type": float, "help": "teleporter gain, in [-2, 2]"}),
+    ("--resource", "resource", {"type": float, "help": "V_ent or V_s, in (0, 1]"}),
+    ("--vin-plus", "input.v_plus", {"type": float, "help": "input amplitude-quadrature variance"}),
+    ("--vin-minus", "input.v_minus", {"type": float, "help": "input phase-quadrature variance"}),
+    ("--shots", "mc.shots", {"type": int, "help": "Monte Carlo shots"}),
+    ("--seed", "mc.seed", {"type": int, "help": "Monte Carlo seed"}),
+    ("--out", "out", {"help": "output file path"}),
+)
+
+
 @functools.cache  # argparse builds a fresh namespace per parse, so one parser serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cvteleport", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--family", choices=_FAMILIES)
-    common.add_argument("--lambda", dest="lam", type=float, help="teleporter gain, in [-2, 2]")
-    common.add_argument("--resource", type=float, help="V_ent or V_s, in (0, 1]")
-    common.add_argument("--vin-plus", type=float, help="input amplitude-quadrature variance")
-    common.add_argument("--vin-minus", type=float, help="input phase-quadrature variance")
-    common.add_argument("--shots", type=int, help="Monte Carlo shots")
-    common.add_argument("--seed", type=int, help="Monte Carlo seed")
-    common.add_argument("--out", help="output file path")
+    for flag, field, options in _FLAGS:
+        common.add_argument(flag, dest=field, **options)
 
     sub.add_parser("report", parents=[common], help="criteria report for one teleporter")
     sub.add_parser("sweep", parents=[common], help="criteria over a gain x resource grid")
@@ -86,32 +94,17 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
-# (flag attribute, dotted config field) for every flag that overrides the config.
-_FLAG_FIELDS = (
-    ("family", "family"),
-    ("lam", "lambda"),
-    ("resource", "resource"),
-    ("vin_plus", "input.v_plus"),
-    ("vin_minus", "input.v_minus"),
-    ("shots", "mc.shots"),
-    ("seed", "mc.seed"),
-    ("out", "out"),
-)
-
-
 def _merge(config: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
     """Overlay command-line flags on the config file contents."""
     merged = dict(config)
-    for attr, field in _FLAG_FIELDS:
-        value = getattr(args, attr, None)
+    for _, field, _ in _FLAGS:
+        value = getattr(args, field)
         if value is None:
             continue
+        _lookup(merged, field)  # a section that is not an object raises
         section, _, key = field.rpartition(".")
         if section:
-            base = merged.get(section)
-            if base is not None and not isinstance(base, dict):
-                raise ConfigError(f"{section} must be an object, got {base!r}")
-            merged[section] = {**(base or {}), key: value}
+            merged[section] = {**(merged.get(section) or {}), key: value}
         else:
             merged[key] = value
     return merged
@@ -204,6 +197,8 @@ def _grid(config: dict[str, Any], field: str, default: tuple | None = None) -> l
         raise ConfigError(f"{field}.steps must be >= 1, got {steps}")
     if lo > hi:
         raise ConfigError(f"{field}: min must not exceed max")
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"{field}: max - min must be finite")
     if steps == 1:
         return [lo]
     # Endpoints land exactly on min and max.
@@ -412,8 +407,9 @@ def _cmd_bell(config: dict[str, Any], args: argparse.Namespace) -> int:
     grid = _grid(config, "bell.v_cvf", _V_CVF_GRID)
     lines = [BELL_HEADER]
     for v_cvf in grid:
+        params = BellParams(s_i=s_i, gain=gain, v_cvf=v_cvf)  # a bad setting raises, exit 1
         try:
-            s_value = _fmt(bell_s(BellParams(s_i=s_i, gain=gain, v_cvf=v_cvf)))
+            s_value = _fmt(bell_s(params))
         except ValueError:
             s_value = "error"  # degenerate denominator marker
         lines.append(",".join([_fmt(v_cvf), _fmt(gain), _fmt(s_i), s_value]))
@@ -431,10 +427,8 @@ def _cmd_squeeze(config: dict[str, Any], args: argparse.Namespace) -> int:
     lines = [SQUEEZE_HEADER]
     for v_cvf in grid:
         v_out = symmetric_output_variance(v_cvf, gain, state.v_plus)
-        squeezed = "true" if v_out < 1.0 else "false"
-        lines.append(
-            ",".join([_fmt(v_cvf), _fmt(gain), _fmt(state.v_plus), _fmt(v_out), squeezed])
-        )
+        row = map(_fmt, (v_cvf, gain, state.v_plus, v_out))
+        lines.append(",".join([*row, "true" if v_out < 1.0 else "false"]))
     _emit("\n".join(lines) + "\n", _value(config, "out", str, None))
     return 0
 

@@ -48,9 +48,13 @@ def symmetric_output_variance(v_cvf: float, gain: float, v_in: float) -> float:
     """Output quadrature variance v_cvf + gain**2 * v_in (symmetric, lossless).
 
     Immediate consequence: with v_cvf >= 1 the output can never be squeezed,
-    whatever the gain or input variance.  A variance that is not finite raises
-    ValueError.
+    whatever the gain or input variance.  A negative v_cvf, a non-positive
+    v_in or an output variance that is not finite raises ValueError.
     """
+    if v_cvf < 0:
+        raise ValueError(f"v_cvf must be nonnegative, got {v_cvf}")
+    if not v_in > 0:
+        raise ValueError(f"input variance must be > 0, got {v_in}")
     v_out = v_cvf + gain * gain * v_in
     if not math.isfinite(v_out):
         raise ValueError(f"output variance undefined: it is {v_out} at gain {gain}, v_in {v_in}")

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import functools
 import io
 import json
 import math
@@ -35,10 +36,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 SWEEP_HEADER = "lambda,resource,ts_plus,ts_minus,t_t,vcv_plus,vcv_minus,v_t,c_f,v_cvf,region"
 
 
-def corrupted_estimates(quads, n_shots):
-    """The mc gate's analytic values with the first 0.1 too high; 20 000 shots must fail it."""
+def corrupted_estimates(quads, n_shots, shift=0.1):
+    """The mc gate's analytic values with the first ``shift`` too high.
+
+    20 000 shots must fail the default 0.1; 1e6 fails at any shots.
+    """
     analytic = _estimates(quads, n_shots)
-    analytic[0] = Estimate(analytic[0].value + 0.1, analytic[0].std_error)
+    analytic[0] = Estimate(analytic[0].value + shift, analytic[0].std_error)
     return analytic
 
 
@@ -841,6 +845,12 @@ class TestMalformedConfig:
             ("mc", {**EPR_POINT, "mc": {"shots": 20000.9}}),
             ("bell", {"lambda": 1.0, "bell": {"v_cvf": {**GRID, "steps": 2.9}}}),
             ("bell", {"lambda": 1.0, "out": 5}),
+            # Bad bell and squeeze settings, and a grid whose max - min overflows,
+            # are errors, not rows.
+            ("bell", {"lambda": 1.0, "bell": {"s_i": 2.0}}),
+            ("bell", {"lambda": 1.0, "bell": {"v_cvf": {**GRID, "min": -1.0}}}),
+            ("bell", {"lambda": 1.0, "bell": {"v_cvf": {"min": -1e308, "max": 1e308, "steps": 3}}}),
+            ("squeeze", {"lambda": 1.0, "squeeze": {"v_cvf": {**GRID, "min": -1.0}}}),
         ],
     )
     def test_exits_1_without_traceback(self, tmp_path, command, config):
@@ -972,11 +982,32 @@ FUZZ_FLAGS = {
     "--out": st.sampled_from(["out.txt", "missing/out.txt"]),
     "--config": st.just("grids.json"),
 }
+# --family, --lambda, --resource and --shots from the valid domain, drawn
+# together, so that mc draws reach the gate.
+FUZZ_POINTS = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries(
+        {
+            "--family": st.sampled_from(["epr", "single_mode", "classical"]),
+            "--lambda": st.floats(-2.0, 2.0).map(repr),
+            "--resource": st.floats(0.0, 1.0, exclude_min=True).map(repr),
+            "--shots": st.integers(100, 3000).map(str),
+        }
+    ),
+)
 # Small grids for sweep, bell and squeeze; the other commands ignore them.
 FUZZ_CONFIG = {
     "sweep": {"lambda": {**GRID, "min": -1.0}, "resource": GRID},
     "bell": {"v_cvf": GRID},
     "squeeze": {"v_cvf": GRID},
+}
+# A valid mc point under the fuzz's fault.
+FAULTY_MC = {
+    "command": "mc",
+    "flags": {"--family": "epr", "--lambda": "1", "--resource": "0.5", "--seed": "1"},
+    "shots": "2000",
+    "point": {},
+    "corrupt": True,
 }
 
 
@@ -987,11 +1018,30 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
+def run_fuzz(fuzz_dir, command, flags, shots, point, corrupt):
+    """Exit code, standard output, standard error and argv of ``cli.main`` on a draw.
+
+    A ``corrupt`` draw runs with the gate's first analytic value 1e6 too high.
+    """
+    argv = [command]
+    for flag, value in {"--shots": shots, **flags, **point}.items():
+        if flag in ("--config", "--out"):
+            value = fuzz_dir / value
+        argv.append(f"{flag}={value}")
+    estimates = functools.partial(corrupted_estimates, shift=1e6) if corrupt else cli._estimates
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with mock.patch.object(cli, "_estimates", estimates):
+            code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), argv
+
+
 class TestFuzz:
     @given(
         command=st.sampled_from(["report", "sweep", "mc", "bell", "squeeze"]),
         flags=st.fixed_dictionaries({}, optional=FUZZ_FLAGS),
         shots=st.one_of(st.integers(-5, 3000).map(str), st.sampled_from(["nan", "1e3", "x"])),
+        point=FUZZ_POINTS,
         corrupt=st.booleans(),
     )
     @example(
@@ -1004,27 +1054,27 @@ class TestFuzz:
             "--vin-minus": "1e-300",
         },
         shots="100",
+        point={},
         corrupt=False,
     )
+    @example(**FAULTY_MC)
     @settings(max_examples=300, deadline=None)
-    def test_no_traceback_and_documented_exit_codes(self, fuzz_dir, command, flags, shots, corrupt):
+    def test_no_traceback_and_documented_exit_codes(self, fuzz_dir, **draw):
         # Every run ends in exit 0, 1 or 2; nothing escapes cli.main.
-        argv = [command, f"--shots={shots}"]
-        for flag, value in flags.items():
-            if flag in ("--config", "--out"):
-                value = fuzz_dir / value
-            argv.append(f"{flag}={value}")
-        estimates = corrupted_estimates if corrupt else cli._estimates
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            with mock.patch.object(cli, "_estimates", estimates):
-                code = cli.main(argv)
+        code, stdout, stderr, argv = run_fuzz(fuzz_dir, **draw)
         assert code in (0, 1, 2), argv
-        assert "Traceback" not in stderr.getvalue()
+        assert "Traceback" not in stderr
         if code == 1:
-            assert stderr.getvalue().startswith("error: "), argv
-        if command == "report" and code == 0 and "--out" not in flags:
-            strict_json(stdout.getvalue())
+            assert stderr.startswith("error: "), argv
+        if draw["command"] == "mc" and draw["corrupt"]:
+            assert code != 0, argv  # wherever mc reaches the gate, it flags the fault
+        if draw["command"] == "report" and code == 0 and "--out" not in draw["flags"]:
+            strict_json(stdout)
+
+    def test_faulty_mc_example_exits_2(self, fuzz_dir):
+        code, stdout, stderr, argv = run_fuzz(fuzz_dir, **FAULTY_MC)
+        assert code == 2, stderr
+        assert "mc verification: 11/12 PASS" in stderr
 
 
 class TestBell:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2, norm
 
 from cvteleport import montecarlo
 from cvteleport import (
@@ -25,6 +26,7 @@ from cvteleport import (
     sample_signal_transfer,
     signal_transfer,
 )
+from cvteleport.criteria import _quads
 
 VACUUM = InputState(1.0, 1.0)
 PERFECT = make_custom(QuadratureMap(1.0), QuadratureMap(1.0))
@@ -314,6 +316,53 @@ class TestAgreementWithAnalytic:
         for name in ("ts_plus", "vcv_plus", "v_cvf", "v_out_plus", "cov_plus"):
             ratio = getattr(small, name).std_error / getattr(large, name).std_error
             assert ratio == pytest.approx(2.0, rel=0.2), name
+
+
+# The gate's z = (estimate - analytic) / error over seeds 0-399 at 2000 shots.
+# A calibrated error makes z standard normal, so 399 s**2 follows chi2(399)
+# and the mean N(0, 1/400).  One two-sided level serves all 72 checks (three
+# teleporters, 12 quantities, spread and mean): a family-wise 1 % split
+# evenly, 0.01 / 72.  The bands it gives: s in [0.867, 1.137], |mean| <= 0.191.
+CALIBRATION_LEVEL = 0.01 / 72
+CALIBRATION_SEEDS = 400
+CALIBRATION_SHOTS = 2000
+
+
+class TestCalibration:
+    @pytest.mark.parametrize(
+        "teleporter,state",
+        [
+            (make_epr(1.0, 0.5), VACUUM),
+            (make_single_mode(0.8, 0.4), InputState(0.3, 1 / 0.3)),
+            (
+                make_custom(
+                    QuadratureMap(0.7, (NoiseTerm("a", 1.0, 0.6),)),
+                    QuadratureMap(1.3, (NoiseTerm("b", 1.0, 1.8),)),
+                ),
+                InputState(2.0, 0.5),
+            ),
+        ],
+        ids=["epr", "single_mode", "custom"],
+    )
+    def test_gate_z_is_standard_normal_in_spread_and_mean(self, teleporter, state):
+        n = CALIBRATION_SEEDS
+        analytic = montecarlo._estimates(_quads(teleporter, state), CALIBRATION_SHOTS)
+        z = np.empty((n, len(analytic)))
+        for seed in range(n):
+            stats = sample_criteria(teleporter, state, CALIBRATION_SHOTS, seed)
+            for k, (estimate, expected) in enumerate(zip(stats.as_dict().values(), analytic)):
+                error = max(estimate.std_error, expected.std_error)  # the gate's error
+                z[seed, k] = (estimate.value - expected.value) / error
+        levels = [CALIBRATION_LEVEL / 2, 1 - CALIBRATION_LEVEL / 2]
+        low, high = np.sqrt(chi2.ppf(levels, n - 1) / (n - 1))
+        mean_bound = norm.ppf(levels[1]) / math.sqrt(n)
+        spread, mean = z.std(axis=0, ddof=1), z.mean(axis=0)
+        outside = [
+            (name, s, m)
+            for name, s, m in zip(montecarlo.QUANTITIES, spread, mean)
+            if not (low <= s <= high and abs(m) <= mean_bound)
+        ]
+        assert not outside, (low, high, mean_bound)
 
 
 class TestDeltaMethod:

@@ -381,6 +381,8 @@ MESSAGES = [
         lambda: symmetric_output_variance(1e308, 2.0, 1e308),
         "output variance undefined: it is inf at gain 2.0, v_in 1e+308",
     ),
+    (lambda: symmetric_output_variance(-5.0, 1.0, 1.0), "v_cvf must be nonnegative, got -5.0"),
+    (lambda: symmetric_output_variance(0.5, 1.0, -1.0), "input variance must be > 0, got -1.0"),
     (
         lambda: squeezing_preserved(make_single_mode(1.0, 0.5), 0.5),
         "squeezing preservation is defined for symmetric EPR teleporters",
@@ -573,7 +575,7 @@ ENTRY_POINTS = {
     ),
     "symmetric_output_variance": (
         lambda d: symmetric_output_variance(
-            d.draw(FULL_NOISES), d.draw(FULL_GAINS), d.draw(FULL_VARIANCES)
+            d.draw(FULL_GAINS), d.draw(FULL_GAINS), d.draw(FULL_GAINS)
         ),
         lambda v_out: v_out >= 0.0,
     ),
