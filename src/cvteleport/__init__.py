@@ -21,13 +21,6 @@ from .criteria import (
     t_total,
     v_total,
 )
-from .montecarlo import (
-    Estimate,
-    SampleStats,
-    SignalTransferStats,
-    sample_criteria,
-    sample_signal_transfer,
-)
 from .predictions import (
     BellParams,
     OptimalGain,
@@ -54,6 +47,24 @@ from .teleporter import (
 )
 
 __version__ = "0.1.0"
+
+# The sampler's names: .montecarlo loads on first access to one of them.
+_SAMPLER = (
+    "Estimate",
+    "SampleStats",
+    "SignalTransferStats",
+    "sample_criteria",
+    "sample_signal_transfer",
+)
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BellParams",

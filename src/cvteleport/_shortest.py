@@ -96,26 +96,28 @@ def _decimal(t, bq):
     s = z // 1000  # s 10**(k + 3) is in the interval where r < delta, but for the ends
     r = z - s * 1000
     big = r < delta
-    ends = np.flatnonzero((r == 0) | (r == delta))
-    if ends.size:  # z is in for even c or inexact z; the lower end by the fraction there
-        odd, exact = _parity((c[ends] << 1) - 1, [g[ends] for g in cache], beta[ends])
-        even, upper = (c[ends] & 1) == 0, r[ends] == 0
-        drop = upper & (low[ends] == 0) & ~even
-        big[ends] = np.where(upper, ~drop, odd | (exact & even))
-        s[ends] -= drop
-        r[ends] += drop * np.uint64(1000)
+    # At the ends z is in for even c or inexact z, the lower end by the fraction there.
+    ends = ((r == 0) | (r == delta)).nonzero()[0]
+    c_ends, upper = c[ends], r[ends] == 0
+    even = (c_ends & 1) == 0
+    drop = upper & (low[ends] == 0) & ~even
+    s[ends] -= drop
+    r[ends] += drop * np.uint64(1000)
     # Else the closest multiple of 10**(k + 2), corrected by parity (ties: even).
     dist = r - (delta >> 1) + 50
     near = dist // 100
     f = s * 10 + near
-    check = np.flatnonzero(near * 100 == dist)
-    if check.size:
-        odd, exact = _parity(c[check] << 1, [g[check] for g in cache], beta[check])
-        fc = f[check]
-        wrong = (odd != ((dist[check] ^ 50) & 1).astype(bool)) | (exact & (fc & 1).astype(bool))
-        f[check] = fc - wrong
+    ties = (near * 100 == dist).nonzero()[0]
+    lanes = np.concatenate((ends, ties))
+    if lanes.size:  # one parity pass: the lower ends' fractions, then the ties'
+        x = np.concatenate(((c_ends << 1) - 1, c[ties] << 1))
+        odd, exact = _parity(x, [g[lanes] for g in cache], beta[lanes])
+        big[ends] = np.where(upper, ~drop, odd[: ends.size] | (exact[: ends.size] & even))
+        odd, exact, f_ties = odd[ends.size :], exact[ends.size :], f[ties]
+        wrong = (odd != ((dist[ties] ^ 50) & 1).astype(bool)) | (exact & (f_ties & 1).astype(bool))
+        f[ties] = f_ties - wrong
     f, k = np.where(big, s, f).view(np.int64), k + big
-    zeros = np.flatnonzero(f // 10 * 10 == f)
+    zeros = (f // 10 * 10 == f).nonzero()[0]
     if zeros.size:  # strip the trailing zeros, at most 15 as s < 10**16
         fz, kz = f[zeros], k[zeros]
         for p in (8, 4, 2, 1):
@@ -155,8 +157,9 @@ def reprs(x, frame=None) -> np.ndarray:
     shape, bits = np.shape(x), np.ascontiguousarray(x, dtype=np.float64).ravel().view(np.uint64)
     bq = (bits >> 52).view(np.int64) & 0x7FF
     t = bits & (1 << 52) - 1
-    special = np.flatnonzero((bq == 0x7FF) | (t == 0) & (bq != 1))
-    bq[special], t[special] = 1023, 1  # any regular value
+    special = ((bq == 0x7FF) | (t == 0) & (bq != 1)).nonzero()[0]
+    if special.size:
+        bq[special], t[special] = 1023, 1  # any regular value
     f, e = _decimal(t, bq)
     _, texts = _tables()
     # Digits of f: those of the smallest integer of its bit length, or one more.
@@ -164,15 +167,16 @@ def reprs(x, frame=None) -> np.ndarray:
     n = low + (f >= _POW10.take(low))
     point = n + e  # |x| = 0.(digits of f) * 10**point
     positional = (point + 3).view(np.uint64) < 20  # -4 < point <= 16
-    shown = np.flatnonzero(~positional)  # the lanes with an exponent
-    power = point[shown] - 1
-    point[shown] = 1  # the exponent form has one integer digit
+    shown = (~positional).nonzero()[0]  # the lanes with an exponent
+    if shown.size:
+        power = point[shown] - 1
+        point[shown] = 1  # the exponent form has one integer digit
     after = np.maximum(n - point, 0)  # digits of f after the decimal point
     scale = _SCALE.take(after)
     integer = f // scale
     fraction = f - integer * scale
     frac_digits = np.maximum(after, positional)  # "1.0", but "1e+16"
-    negative = np.flatnonzero(bits >> 63)
+    negative = (bits >> 63).nonzero()[0]
     sign, int_max = int(negative.size > 0), int(point.max(initial=1))
     # Columns: sign, integer, point, fraction.  A 4-digit group may run into the
     # columns on its left, written after it: the fraction's into the point, the
@@ -183,7 +187,8 @@ def reprs(x, frame=None) -> np.ndarray:
     frac_groups = -(-frac_max // 4)
     width = dot + 1 + max(frac_max, 4 * frac_groups - 1 - dot)
     if shown.size:  # their fraction's columns end with "e-05" or "e+300"
-        exp_max = int(frac_digits[shown].max())
+        shown_digits = frac_digits[shown]
+        exp_max = int(shown_digits.max())
         tail, exp_groups = 4 + int(np.abs(power).max() >= 100), -(-exp_max // 4)
         width = max(width, dot + 1 + exp_max + tail, 4 * exp_groups + tail)
     if special.size:  # repr of each distinct bit pattern
@@ -200,14 +205,15 @@ def reprs(x, frame=None) -> np.ndarray:
         _write(out[..., dot - 4 * int_groups : dot], integer, np.maximum(point, 1), texts)
         out[..., dot] = ord(".")
     if shown.size:  # their rows written again
+        index = np.unravel_index(shown, shape)
         rows = np.zeros((shown.size, width), dtype=np.uint8)
-        fraction, frac_digits = fraction[shown], frac_digits[shown]
-        _write(rows[:, width - tail - 4 * exp_groups : -tail], fraction, frac_digits, texts)
-        rows[:, dot - 1], rows[:, dot] = integer[shown] + ord("0"), (frac_digits > 0) * ord(".")
+        # Their fraction's digits, alone in the last 4 * exp_groups columns, end before the tail.
+        rows[:, width - tail - 4 * exp_groups : -tail] = out[index][:, width - 4 * exp_groups :]
+        rows[:, dot - 1], rows[:, dot] = integer[shown] + ord("0"), (shown_digits > 0) * ord(".")
         rows[:, -tail], rows[:, 1 - tail] = ord("e"), ord("+") + 2 * (power < 0)  # "-" is "+" + 2
         exponent = texts.take(_KEEP_OFFSETS[0, 2 + (np.abs(power) >= 100)] + np.abs(power))
         rows[:, 2 - tail :] = exponent.view(np.uint8).reshape(-1, 4)[:, 6 - tail :]
-        out[np.unravel_index(shown, shape)] = rows
+        out[index] = rows
     if sign:
         out[np.unravel_index(negative, shape) + (0,)] = ord("-")
     if special.size:

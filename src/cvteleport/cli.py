@@ -11,7 +11,8 @@ is fully determined by config plus seed.  Exit codes: 0 success / all
 checks passed, 1 usage or configuration error, 2 verification failure.
 
 Only ``sweep`` and ``mc`` build arrays, and they import numpy on first use;
-``report``, ``bell`` and ``squeeze`` run without loading it.
+``report``, ``bell`` and ``squeeze`` run without loading it.  The Monte Carlo
+sampler is loaded by ``mc`` alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import asdict
 from typing import Any
 
 from .criteria import CRITERIA, _REGIONS, _columns, _quads, classical_bound_check, classify
-from .montecarlo import _estimates, sample_criteria
 from .predictions import BellParams, bell_s, symmetric_output_variance
 from .quadrature import InputState
 from .teleporter import RESOURCE_NOISE, Family, Teleporter, _added_noise, _make
@@ -42,6 +42,8 @@ class ConfigError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the top-level parser's: each command's own parser
+
     # Route argparse usage errors through the exit-code-1 path.
     def error(self, message: str):  # noqa: D102
         raise ConfigError(message)
@@ -76,6 +78,7 @@ def _build_parser() -> _Parser:
     mc.add_argument("--workers", type=int, default=1, help="sampling threads; output is unchanged")
     sub.add_parser("bell", parents=[common], help="Bell correlation over a v_cvf grid")
     sub.add_parser("squeeze", parents=[common], help="output squeezing over a v_cvf grid")
+    parser.commands = sub.choices
     return parser
 
 
@@ -276,8 +279,9 @@ def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float],
     """
     import numpy as np
 
-    gains = np.repeat(lambda_grid, len(resource_grid))
-    resources = np.tile(resource_grid, len(lambda_grid))
+    grid = np.empty((2, len(lambda_grid), len(resource_grid)))
+    grid[0], grid[1] = np.array(lambda_grid)[:, None], resource_grid
+    gains, resources = grid.reshape(2, -1)
     table = np.empty((len(CRITERIA), gains.size))
     regions = np.empty(gains.size, np.intp)
     for start in range(0, gains.size, _SWEEP_CHUNK):
@@ -285,8 +289,8 @@ def _sweep(family: Family, lambda_grid: list[float], resource_grid: list[float],
         gain, resource = gains[chunk], resources[chunk]
         with np.errstate(all="ignore"):
             noise = _added_noise(family, gain, resource)
-        for point in (start + np.flatnonzero(~np.isfinite(noise))).tolist():
-            row, column = divmod(point, len(resource_grid))
+        for point in (~np.isfinite(noise)).nonzero()[0].tolist():
+            row, column = divmod(start + point, len(resource_grid))
             _make(family, lambda_grid[row], resource_grid[column])  # raises
         quads = (
             (gain, np.full_like(gain, state.v_plus), noise),
@@ -318,8 +322,8 @@ def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[fl
 
     from ._shortest import reprs
 
-    gain_text = _text_rows(map(_fmt, lambda_grid))
-    resource_text = _text_rows(f",{_fmt(resource)}" for resource in resource_grid)
+    gain_text = _text_rows(map(repr, lambda_grid))  # the grids hold floats
+    resource_text = _text_rows(f",{resource!r}" for resource in resource_grid)
     region_text = _text_rows(f",{region.value}\n" for region in _REGIONS)
     lead, tail = gain_text.shape[1] + resource_text.shape[1], region_text.shape[1]
     yield f"{SWEEP_HEADER}\n".encode()
@@ -336,16 +340,15 @@ def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[fl
 
         lines = reprs(values[distinct].T, frame).base
         slots = lines[:, lead:-tail].reshape(rows, count, -1)
-        moved = {k: distinct.index(c) for k, c in enumerate(first) if distinct.index(c) != k}
-        texts = {slot: slots[:, slot].copy() for slot in moved.values()}
-        for k, slot in moved.items():
-            slots[:, k] = texts[slot]
+        for k in reversed(range(count)):  # texts move right: a slot is read before it is written
+            if (slot := distinct.index(first[k])) != k:
+                slots[:, k] = slots[:, slot]
         slots[..., 0] = ord(",")
         lines[:, : gain_text.shape[1]] = gain_text.take(point // len(resource_grid), axis=0)
         lines[:, gain_text.shape[1] : lead] = resource_text.take(point % len(resource_grid), axis=0)
         lines[:, -tail:] = region_text.take(regions[start : start + rows], axis=0)
         yield lines.tobytes().translate(None, b"\0")
-        del lines, slots, texts  # so that one chunk's matrix is alive at a time
+        del lines, slots  # so that one chunk's matrix is alive at a time
 
 
 def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:
@@ -375,8 +378,9 @@ def _cmd_mc(config: dict[str, Any], args: argparse.Namespace) -> int:
     seed = _value(config, "mc.seed", int, 0)
     out_path = _value(config, "out", str, None)
 
-    stats = sample_criteria(teleporter, state, shots, seed, workers=args.workers)
-    analytic = _estimates(_quads(teleporter, state), shots)
+    sampler = sys.modules[__name__]  # whose sample_criteria and _estimates load on first use
+    stats = sampler.sample_criteria(teleporter, state, shots, seed, workers=args.workers)
+    analytic = sampler._estimates(_quads(teleporter, state), shots)
 
     lines = [MC_HEADER]
     n_pass = 0
@@ -442,15 +446,35 @@ _COMMANDS = {
 }
 
 
+def __getattr__(name: str) -> Any:
+    # The sampler's entry points, imported on first use: only mc samples.
+    if name in ("sample_criteria", "_estimates"):
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A command's own parser takes the arguments after its name, as the top-level
+        # parser would hand them on; that one parses the rest: -h, none or an unknown name.
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         config = _merge(_load_config(args.config), args)
         return _COMMANDS[args.command](config, args)
     except (ConfigError, ValueError) as exc:
         # ValueError: a library entry point rejected the configured values.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a grid too large; each command computes before it opens --out
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -385,6 +385,27 @@ class TestArraySweep:
         assert per_point_sweep(config) == expected
         assert array_sweep(config, sweep_dir) == expected
 
+    @pytest.mark.parametrize(
+        "error,detail",
+        [
+            # as numpy fails to allocate the table of a 10**6 x 10**6 grid
+            (MemoryError("Unable to allocate 7.28 TiB"), " (Unable to allocate 7.28 TiB)"),
+            (MemoryError(), ""),  # as a list fails to grow
+        ],
+    )
+    def test_grid_beyond_memory_exits_1_before_the_output_is_opened(
+        self, sweep_dir, error, detail
+    ):
+        # Such a grid itself stays out of the suite: an overcommitting host could grant it.
+        config = sweep_config("epr", (0.0, 2.0, 3), (0.5, 1.0, 2))
+
+        def sweep(*args):
+            raise error
+
+        with mock.patch.object(cli, "_sweep", sweep):
+            code, stderr, text = array_sweep(config, sweep_dir)
+        assert (code, stderr, text) == (1, f"error: out of memory{detail}\n", None)
+
     @pytest.mark.parametrize("chunk", [1, 4, 2048])
     def test_overflowing_point_in_a_later_row_fails_as_its_constructor(self, chunk):
         # The CLI's grids ascend, so its overflowing gains come first; unsorted
@@ -516,6 +537,21 @@ mc = ["mc", "--family", "epr", "--lambda", "1", "--resource", "0.5"]
 assert cli.main([*mc, "--shots", "2000", "--seed", "3"]) == 0
 assert "numpy" in sys.modules
 """
+# The CLI alone (not `import *`): only mc loads the sampler.
+SAMPLER_FREE = """
+import sys
+
+import cvteleport.cli
+
+for argv in (
+    ["report", "--family", "epr", "--lambda", "1", "--resource", "0.5"],
+    ["bell", "--lambda", "0.5"],
+    ["squeeze", "--lambda", "1", "--vin-plus", "0.3"],
+    ["sweep", "--config", sys.argv[1], "--out", sys.argv[2]],
+):
+    assert cvteleport.cli.main(argv) == 0, argv
+assert "cvteleport.montecarlo" not in sys.modules, "the sampler was imported"
+"""
 
 
 class TestColdStart:
@@ -525,6 +561,18 @@ class TestColdStart:
         out = tmp_path / "sweep.csv"
         result = subprocess.run(
             [sys.executable, "-c", COLD_START, str(config), str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(out.read_text().splitlines()) == 1 + 3 * 4
+
+    def test_sampler_loads_only_for_mc(self, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(sweep_config("epr", (0.0, 2.0, 3), (0.1, 1.0, 4))))
+        out = tmp_path / "sweep.csv"
+        result = subprocess.run(
+            [sys.executable, "-c", SAMPLER_FREE, str(config), str(out)],
             capture_output=True,
             text=True,
         )
@@ -888,6 +936,101 @@ class TestMalformedConfig:
         assert "error: sweep.lambda.steps must be of type int" in result.stderr
 
 
+# Arguments after a command's name: valid flags, --flag=value, abbreviations,
+# an ambiguous one, unknown flags, a stray word, bad types and choices, a
+# missing value, help, "--" and none at all.
+DISPATCH_ARGS = [
+    ["--family", "epr", "--lambda", "1", "--resource", "0.5", "--out", "x.csv"],
+    ["--lambda=1.5", "--seed=3", "--config=c.json", "--vin-minus=-0.0"],
+    ["--lamb", "1", "--vin-p", "2", "--sh", "100"],
+    ["--vin", "1"],
+    ["--bogus"],
+    ["--lambda", "1", "--corrupt-analytic", "extra"],
+    ["--lambda", "1", "stray"],
+    ["--shots", "x"],
+    ["--seed", "1.5"],
+    ["--family", "EPR"],
+    ["--lambda"],
+    ["--help"],
+    ["-h", "--bogus"],
+    ["--he"],
+    ["--", "--lambda", "1"],
+    ["--lambda", "--", "1"],
+    [],
+]
+DISPATCH_MC_ARGS = [["--workers", "2"], ["--work=3", "--seed", "1"], ["--workers", "x"]]
+# No command, an unknown one, one in the wrong place or after top-level options.
+DISPATCH_TOP_ARGVS = [
+    [],
+    ["bogus"],
+    ["Sweep"],
+    ["rep"],
+    ["-h"],
+    ["--help", "sweep"],
+    ["--lambda", "1", "report"],
+    ["--", "report", "--lambda", "1"],
+    ["--bogus", "sweep"],
+]
+
+
+def parse_outcome(parse, argv):
+    """("args", namespace), ("error", text) or ("exit", code, stdout) of ``parse(argv)``."""
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            return ("args", parse(argv))
+    except cli.ConfigError as exc:
+        return ("error", str(exc))
+    except SystemExit as exc:
+        return ("exit", exc.code, stdout.getvalue())
+
+
+def dispatch_outcome(argv):
+    """The parse that ``cli.main`` makes of ``argv``, as :func:`parse_outcome` gives it."""
+    seen, stdout, stderr = [], io.StringIO(), io.StringIO()
+
+    def command(config, args):
+        seen.append(args)
+        return 0
+
+    with mock.patch.dict(cli._COMMANDS, dict.fromkeys(cli._COMMANDS, command)):
+        with mock.patch.object(cli, "_load_config", lambda path: {}):
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(argv)
+            except SystemExit as exc:
+                return ("exit", exc.code, stdout.getvalue())
+    if code == 0:
+        return ("args", seen[0])
+    line = stderr.getvalue()  # main's "error: <text>\n"
+    assert code == 1 and line.startswith("error: ") and line.endswith("\n"), line
+    return ("error", line[len("error: ") : -1])
+
+
+class TestDispatch:
+    """``cli.main`` parses as the top-level parser does, with its commands' own parsers."""
+
+    @pytest.mark.parametrize("args", DISPATCH_ARGS + DISPATCH_MC_ARGS)
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_parses_as_the_top_level_parser(self, command, args):
+        argv = [command, *args]
+        expected = parse_outcome(cli._build_parser().parse_args, argv)
+        assert dispatch_outcome(argv) == expected
+        if args == ["--help"]:  # the command's own help, exit 0
+            assert expected[:2] == ("exit", 0) and f"usage: cvteleport {command}" in expected[2]
+
+    @pytest.mark.parametrize("argv", DISPATCH_TOP_ARGVS)
+    def test_top_level_arguments(self, argv):
+        assert dispatch_outcome(argv) == parse_outcome(cli._build_parser().parse_args, argv)
+
+    def test_a_valid_call_sees_its_command(self):
+        outcome = dispatch_outcome(["mc", "--lamb", "1", "--work=2"])
+        assert outcome[0] == "args"
+        args = outcome[1]
+        seen = (args.command, getattr(args, "lambda"), args.workers, args.out)
+        assert seen == ("mc", 1.0, 2, None)
+
+
 def strict_json(text):
     def reject(constant):
         raise ValueError(f"non-finite JSON constant {constant}")
@@ -983,7 +1126,8 @@ FUZZ_FLAGS = {
     "--config": st.just("grids.json"),
 }
 # --family, --lambda, --resource and --shots from the valid domain, drawn
-# together, so that mc draws reach the gate.
+# together, so that mc draws reach the gate; run_fuzz adds SWEEP_FILES to
+# sweep draws, so that they reach the writer.
 FUZZ_POINTS = st.one_of(
     st.just({}),
     st.fixed_dictionaries(
@@ -995,6 +1139,7 @@ FUZZ_POINTS = st.one_of(
         }
     ),
 )
+SWEEP_FILES = {"--config": "grids.json", "--out": "out.txt"}
 # Small grids for sweep, bell and squeeze; the other commands ignore them.
 FUZZ_CONFIG = {
     "sweep": {"lambda": {**GRID, "min": -1.0}, "resource": GRID},
@@ -1024,6 +1169,8 @@ def run_fuzz(fuzz_dir, command, flags, shots, point, corrupt):
     A ``corrupt`` draw runs with the gate's first analytic value 1e6 too high.
     """
     argv = [command]
+    if point and command == "sweep":
+        point = {**SWEEP_FILES, **point}
     for flag, value in {"--shots": shots, **flags, **point}.items():
         if flag in ("--config", "--out"):
             value = fuzz_dir / value
@@ -1068,8 +1215,12 @@ class TestFuzz:
             assert stderr.startswith("error: "), argv
         if draw["command"] == "mc" and draw["corrupt"]:
             assert code != 0, argv  # wherever mc reaches the gate, it flags the fault
-        if draw["command"] == "report" and code == 0 and "--out" not in draw["flags"]:
+        out = dict(arg.split("=", 1) for arg in argv[1:]).get("--out")
+        if draw["command"] == "report" and code == 0 and out is None:
             strict_json(stdout)
+        if draw["command"] == "sweep" and code == 0:  # the header and the 2 x 2 grid's rows
+            lines = Path(out).read_text().splitlines()
+            assert lines[0] == SWEEP_HEADER and len(lines) == 5, argv
 
     def test_faulty_mc_example_exits_2(self, fuzz_dir):
         code, stdout, stderr, argv = run_fuzz(fuzz_dir, **FAULTY_MC)
