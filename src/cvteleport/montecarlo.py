@@ -8,7 +8,8 @@ the least-squares gain g, the input variance V_in and the residual variance N
 kernel, ``criteria._point``; their sampling errors are uncorrelated to first
 order, so each delta-method standard error is a root sum of non-negative
 terms.  The estimates are an independent statistical check of the closed
-forms.  Each worker samples its blocks into one work array that it allocates
+forms.  Each worker samples a block one summation run (SUM_RUN shots) at a
+time, into one work array of three SUM_RUN-element rows that it allocates
 once and reuses.  numpy, hashlib and the thread pool are imported by the
 functions that use them, so importing this module does not load numpy.
 
@@ -25,14 +26,16 @@ regardless of the number of workers or of the order in which noise terms
 were listed.
 
 Within a block, each moment sum is taken in an order that the program fixes,
-not the numpy build (see ``_run_sum``): the block is cut into consecutive
-runs of SUM_RUN elements, each run is reduced by numpy's pairwise sum (8
-strided accumulators per leaf of at most 128 elements, split at n//2 rounded
-down to a multiple of 8), and the run results are added left to right.  A
-whole-block ``ndarray.sum()`` would leave the runs to numpy's buffering, which
-differs between builds.  Output is therefore bit-identical across machines
-whose numpy gives the same Philox and ``standard_normal`` streams; numpy 2.4.6
-under Python 3.11.7 wrote ``tests/golden/mc_epr.golden.csv``.
+not the numpy build (see ``_block_sums``): the block is sampled in consecutive
+windows of SUM_RUN shots, each generator continuing its stream from window to
+window, so the records are those of one whole-block draw.  Each window is
+reduced by numpy's pairwise sum (8 strided accumulators per leaf of at most
+128 elements, split at n//2 rounded down to a multiple of 8), and the window
+results are added left to right.  A whole-block ``ndarray.sum()`` would leave
+the runs to numpy's buffering, which differs between builds.  Output is
+therefore bit-identical across machines whose numpy gives the same Philox and
+``standard_normal`` streams; numpy 2.4.6 under Python 3.11.7 wrote
+``tests/golden/mc_epr.golden.csv``.
 """
 
 from __future__ import annotations
@@ -110,46 +113,16 @@ def _stream(seed: int, kind: str, name: str, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _quadrature_records(
-    qmap: QuadratureMap,
-    v_in: float,
-    signal: float,
-    quad_tag: str,
-    seed: int,
-    block: int,
-    length: int,
-    work: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesize one block of input and output records for one quadrature.
+def _streams(qmap: QuadratureMap, quad_tag: str, seed: int, block: int) -> tuple:
+    """One block's streams of one quadrature: its input and its scaled noise terms.
 
-    The records are written into rows 0 and 1 of ``work`` (shape (3, >= length));
-    row 2 takes each noise draw.
+    The noise terms come as (scale, generator) pairs in sorted mode_id order,
+    which keeps the records independent of the order the terms were listed in.
     """
-    import numpy as np
-
-    x_in, x_out, z = work[:, :length]
-    _stream(seed, "input", quad_tag, block).standard_normal(out=x_in)
-    x_in *= math.sqrt(v_in)
-    if signal != 0.0:
-        x_in += signal
-    np.multiply(qmap.gain, x_in, out=x_out)
-    # Sorted accumulation keeps the record independent of the list order.
-    for term in sorted(qmap.noise, key=lambda t: t.mode_id):
-        _stream(seed, "noise", term.mode_id, block).standard_normal(out=z)
-        z *= term.coefficient * math.sqrt(term.variance)
-        x_out += z
-    return x_in, x_out
-
-
-def _run_sum(x: np.ndarray) -> float:
-    """Sum of ``x``: numpy's pairwise sum per SUM_RUN-element run, runs added left to right."""
-    whole = len(x) - len(x) % SUM_RUN
-    total = 0.0
-    for part in x[:whole].reshape(-1, SUM_RUN).sum(axis=1).tolist():
-        total += part
-    if whole < len(x):
-        total += float(x[whole:].sum())
-    return total
+    return _stream(seed, "input", quad_tag, block), [
+        (t.coefficient * math.sqrt(t.variance), _stream(seed, "noise", t.mode_id, block))
+        for t in sorted(qmap.noise, key=lambda t: t.mode_id)
+    ]
 
 
 def _block_sums(
@@ -159,22 +132,43 @@ def _block_sums(
     bounds: tuple[int, int],
     work: np.ndarray,
 ) -> tuple[float, ...]:
-    """The five moment sums of each quadrature over one block, sampled into ``work``."""
+    """The five moment sums of each quadrature over one block, sampled window by window.
+
+    Each window of ``work`` (shape (3, >= min(SUM_RUN, block length))) is one
+    SUM_RUN-shot run of the block: rows 0 and 1 take its input and output
+    records, row 2 each noise draw, and each row is one pairwise sum, added to
+    the block's totals left to right (see the determinism contract).
+    """
     import numpy as np
 
     start, stop = bounds
     block = start // BLOCK_SHOTS
-    length = stop - start
-    product = work[2, :length]
     sums: list[float] = []
     for quad in ("+", "-"):
         qmap, v_in, signal = teleporter.map_for(quad), state.variance(quad), state.signal(quad)
-        x_in, x_out = _quadrature_records(qmap, v_in, signal, quad, seed, block, length, work)
-        sums.append(_run_sum(x_in))
-        sums.append(_run_sum(np.multiply(x_in, x_in, out=product)))
-        sums.append(_run_sum(x_out))
-        sums.append(_run_sum(np.multiply(x_out, x_out, out=product)))
-        sums.append(_run_sum(np.multiply(x_in, x_out, out=product)))
+        source, noise = _streams(qmap, quad, seed, block)
+        root_v_in = math.sqrt(v_in)
+        totals = [0.0] * 5
+        for offset in range(start, stop, SUM_RUN):
+            window = work[:, : min(SUM_RUN, stop - offset)]
+            x_in, x_out, z = window
+            records = window[:2]
+            source.standard_normal(out=x_in)
+            x_in *= root_v_in
+            if signal != 0.0:
+                x_in += signal
+            np.multiply(qmap.gain, x_in, out=x_out)
+            for scale, generator in noise:
+                generator.standard_normal(out=z)
+                z *= scale
+                x_out += z
+            s1_in, s1_out = np.add.reduce(records, axis=1).tolist()
+            np.multiply(x_in, x_out, out=z)
+            np.multiply(records, records, out=records)  # squared in place
+            s2_in, s2_out, s11 = np.add.reduce(window, axis=1).tolist()
+            runs = (s1_in, s2_in, s1_out, s2_out, s11)
+            totals = [total + run for total, run in zip(totals, runs)]
+        sums += totals
     return tuple(sums)
 
 
@@ -192,24 +186,26 @@ def _accumulate(
     """
     import numpy as np
 
-    bounds = [(i, min(i + BLOCK_SHOTS, n_shots)) for i in range(0, n_shots, BLOCK_SHOTS)]
-    workers = min(workers, len(bounds))
+    workers = min(workers, -(-n_shots // BLOCK_SHOTS))
 
-    def sample(share: list[tuple[int, int]]) -> list[tuple[float, ...]]:
-        # One work array per worker, reused for every block of its share.
-        work = np.empty((3, min(n_shots, BLOCK_SHOTS)))
+    def sample(k: int) -> list[tuple[float, ...]]:
+        # Worker k takes every workers-th block from block k, into one reused work array.
+        work = np.empty((3, min(n_shots, SUM_RUN)))
         # Records that overflow are refused below, with their quadrature named.
         with np.errstate(over="ignore", invalid="ignore"):
-            return [_block_sums(teleporter, state, seed, b, work) for b in share]
+            return [
+                _block_sums(teleporter, state, seed, (i, min(i + BLOCK_SHOTS, n_shots)), work)
+                for i in range(k * BLOCK_SHOTS, n_shots, workers * BLOCK_SHOTS)
+            ]
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(sample, (bounds[k::workers] for k in range(workers))))
-        blocks = [blk for share in shares for blk in share]
+            shares = list(pool.map(sample, range(workers)))
     else:
-        blocks = sample(bounds)
+        shares = [sample(0)]
+    blocks = [blk for share in shares for blk in share]
 
     # fsum of the per-block sums is exactly rounded, hence independent of
     # both the order of the blocks and the worker count.

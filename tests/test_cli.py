@@ -1125,6 +1125,24 @@ FUZZ_FLAGS = {
     "--out": st.sampled_from(["out.txt", "missing/out.txt"]),
     "--config": st.just("grids.json"),
 }
+
+
+def is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# sweep checks that --lambda, --resource and --seed are numbers but reads none
+# of them, so its draws take those flags from numbers and reach the writer.
+SWEEP_FLAGS = {
+    **FUZZ_FLAGS,
+    "--lambda": FUZZ_NUMBERS.filter(is_number),
+    "--resource": FUZZ_NUMBERS.filter(is_number),
+    "--seed": st.integers(-1, 2**64).map(str),
+}
 # --family, --lambda, --resource and --shots from the valid domain, drawn
 # together, so that mc draws reach the gate; run_fuzz adds SWEEP_FILES to
 # sweep draws, so that they reach the writer.
@@ -1183,30 +1201,42 @@ def run_fuzz(fuzz_dir, command, flags, shots, point, corrupt):
     return code, stdout.getvalue(), stderr.getvalue(), argv
 
 
+def fuzz_draw(command):
+    """The arguments of ``run_fuzz`` for one command."""
+    flags = SWEEP_FLAGS if command == "sweep" else FUZZ_FLAGS
+    return st.fixed_dictionaries(
+        {
+            "command": st.just(command),
+            "flags": st.fixed_dictionaries({}, optional=flags),
+            "shots": st.one_of(
+                st.integers(-5, 3000).map(str), st.sampled_from(["nan", "1e3", "x"])
+            ),
+            "point": FUZZ_POINTS,
+            "corrupt": st.booleans(),
+        }
+    )
+
+
 class TestFuzz:
-    @given(
-        command=st.sampled_from(["report", "sweep", "mc", "bell", "squeeze"]),
-        flags=st.fixed_dictionaries({}, optional=FUZZ_FLAGS),
-        shots=st.one_of(st.integers(-5, 3000).map(str), st.sampled_from(["nan", "1e3", "x"])),
-        point=FUZZ_POINTS,
-        corrupt=st.booleans(),
-    )
+    @given(draw=st.sampled_from(["report", "sweep", "mc", "bell", "squeeze"]).flatmap(fuzz_draw))
     @example(
-        command="report",
-        flags={
-            "--family": "epr",
-            "--lambda": "1",
-            "--resource": "1e-300",
-            "--vin-plus": "1e-300",
-            "--vin-minus": "1e-300",
-        },
-        shots="100",
-        point={},
-        corrupt=False,
+        draw={
+            "command": "report",
+            "flags": {
+                "--family": "epr",
+                "--lambda": "1",
+                "--resource": "1e-300",
+                "--vin-plus": "1e-300",
+                "--vin-minus": "1e-300",
+            },
+            "shots": "100",
+            "point": {},
+            "corrupt": False,
+        }
     )
-    @example(**FAULTY_MC)
+    @example(draw=FAULTY_MC)
     @settings(max_examples=300, deadline=None)
-    def test_no_traceback_and_documented_exit_codes(self, fuzz_dir, **draw):
+    def test_no_traceback_and_documented_exit_codes(self, fuzz_dir, draw):
         # Every run ends in exit 0, 1 or 2; nothing escapes cli.main.
         code, stdout, stderr, argv = run_fuzz(fuzz_dir, **draw)
         assert code in (0, 1, 2), argv

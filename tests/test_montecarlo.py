@@ -1,8 +1,10 @@
 """Tests for the Monte Carlo sampling verifier."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -187,25 +189,49 @@ class TestDeterminism:
     def test_block_sum_order_matches_replica(self):
         # A mismatch means numpy's sum no longer runs the order that the
         # committed mc golden was made with (see the determinism contract).
-        # Each length > 8192 tells the orders apart on about half of the
-        # draws, so eight draws per length all but rule out a chance match.
+        # Lengths up to SUM_RUN are one run; longer ones are checked below,
+        # block by block.
         rng = np.random.default_rng(2024)
-        for n in (1, 7, 8, 127, 128, 129, 3616, 8191, 8192, 8193, 20_000, 65_536):
+        for n in (1, 7, 8, 127, 128, 129, 3616, 8191, 8192):
             for _ in range(8):
                 x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
-                assert montecarlo._run_sum(x) == replica_block_sum(x.tolist()), n
+                assert float(x.sum()) == replica_block_sum(x.tolist()), n
 
-        teleporter, state, seed = make_epr(1.0, 1.0), VACUUM, 42
-        sums = montecarlo._block_sums(teleporter, state, seed, (0, 20_000), np.empty((3, 20_000)))
-        replica = []
-        for quad in "+-":
-            work = np.empty((3, 20_000))
-            x_in, x_out = montecarlo._quadrature_records(
-                teleporter.map_for(quad), state.variance(quad), 0.0, quad, seed, 0, 20_000, work
+        # The replica draws each stream's whole record at once and sums it in
+        # 8192-element runs; the sampler draws the same streams window by
+        # window.  Each length > 8192 tells the orders apart on about half of
+        # the draws, so ten sums per block all but rule out a chance match.
+        def qmap(gain, tag, n_terms):
+            terms = tuple(
+                NoiseTerm(f"{tag}{i}", 0.3 * (i + 1) - 0.7, 0.5 + i) for i in range(n_terms)
             )
-            for record in (x_in, x_in * x_in, x_out, x_out * x_out, x_in * x_out):
-                replica.append(replica_block_sum(record.tolist()))
-        assert sums == tuple(replica)
+            return QuadratureMap(gain, terms[::-1])
+
+        seed, cases = 42, [(make_epr(1.0, 1.0), VACUUM)]
+        for n_terms, state in itertools.product(
+            (0, 4), (InputState(0.7, 1.6), InputState(0.7, 1.6, 0.05, -0.08))
+        ):
+            cases.append((make_custom(qmap(0.9, "p", n_terms), qmap(-1.3, "m", n_terms)), state))
+        for teleporter, state in cases:
+            for start, stop in (
+                (0, 1), (0, 8191), (0, 8192), (0, 8193), (0, 20_000), (0, 65_536), (65_536, 85_536)
+            ):
+                block, length = start // montecarlo.BLOCK_SHOTS, stop - start
+                replica = []
+                for quad in "+-":
+                    qm = teleporter.map_for(quad)
+                    x_in = montecarlo._stream(seed, "input", quad, block).standard_normal(length)
+                    x_in = x_in * math.sqrt(state.variance(quad)) + state.signal(quad)
+                    x_out = qm.gain * x_in
+                    for term in sorted(qm.noise, key=lambda t: t.mode_id):
+                        stream = montecarlo._stream(seed, "noise", term.mode_id, block)
+                        scale = term.coefficient * math.sqrt(term.variance)
+                        x_out = x_out + stream.standard_normal(length) * scale
+                    for record in (x_in, x_in * x_in, x_out, x_out * x_out, x_in * x_out):
+                        replica.append(replica_block_sum(record.tolist()))
+                work = np.empty((3, montecarlo.SUM_RUN))
+                sums = montecarlo._block_sums(teleporter, state, seed, (start, stop), work)
+                assert sums == tuple(replica), (teleporter, state, start, stop)
 
     # SHA-256 of the first block of the mc golden's "+" input stream (seed 42),
     # as little-endian bytes.  The golden depends on two numpy layers: the
@@ -275,6 +301,41 @@ class TestDeterminism:
         finally:
             tracemalloc.stop()
         assert peak <= workers * 3 * montecarlo.BLOCK_SHOTS * 8 + 64 * 1024
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_is_one_summation_run_per_worker(self, workers):
+        # Each worker samples a block one SUM_RUN-shot window at a time, into
+        # a (3, SUM_RUN) work array.
+        teleporter, state, n_shots = make_epr(1.0, 0.5), VACUUM, 4 * montecarlo.BLOCK_SHOTS
+        sample_criteria(teleporter, state, n_shots, 1, workers)  # one-time imports and caches
+        tracemalloc.start()
+        try:
+            sample_criteria(teleporter, state, n_shots, 1, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 3 * montecarlo.SUM_RUN * 8 + 64 * 1024
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_are_not_listed_before_sampling(self, workers):
+        # 10**10 shots are 152 588 blocks; sampling stops at the first one.
+        class Sentinel(Exception):
+            pass
+
+        def first_block(*args):
+            raise Sentinel
+
+        teleporter = make_epr(1.0, 0.5)
+        montecarlo._accumulate(teleporter, VACUUM, 2 * montecarlo.BLOCK_SHOTS, 1, workers)
+        with mock.patch.object(montecarlo, "_block_sums", first_block):
+            tracemalloc.start()
+            try:
+                with pytest.raises(Sentinel):
+                    montecarlo._accumulate(teleporter, VACUUM, 10**10, 1, workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1024 * 1024
 
 
 class TestAgreementWithAnalytic:
