@@ -1,6 +1,6 @@
 """The text of ``repr(float(x))`` for every element of a float64 array, at array speed.
 
-:func:`reprs` writes one NUL-padded row of ``uint8`` per element; deleting
+:func:`reprs` returns one NUL-padded row of ``uint8`` per element; deleting
 the NULs of a row leaves exactly the bytes of ``repr``.  Three steps:
 
 * Digits: Dragonbox (J. Jeon, "Dragonbox: A New Floating-Point
@@ -148,11 +148,10 @@ def _write(out, value, keep, texts) -> None:
         rest = quotient
 
 
-def reprs(x, frame=None) -> np.ndarray:
+def reprs(x) -> np.ndarray:
     """The bytes of ``repr(float(v))`` for each v in ``x``, NUL-padded to one width.
 
-    They are written into and returned in ``frame(width)``, a uint8 array of
-    shape ``x.shape + (width,)`` that is all NUL; by default a new one.
+    They are returned as a new uint8 array of shape ``x.shape + (width,)``.
     """
     shape, bits = np.shape(x), np.ascontiguousarray(x, dtype=np.float64).ravel().view(np.uint64)
     bq = (bits >> 52).view(np.int64) & 0x7FF
@@ -195,7 +194,7 @@ def reprs(x, frame=None) -> np.ndarray:
         patterns, inverse = np.unique(bits[special], return_inverse=True)
         fallback = [repr(v).encode() for v in patterns.view(np.float64).tolist()]
         width = max(width, *map(len, fallback))
-    out = np.zeros(shape + (width,), dtype=np.uint8) if frame is None else frame(width)
+    out = np.zeros(shape + (width,), dtype=np.uint8)
     _write(out[..., width - 4 * frac_groups :], fraction, frac_digits, texts)
     if int_max == 1:  # the digit and the point as one uint16
         cell = integer.astype(np.uint16) + np.uint16(ord("0") + (ord(".") << 8))

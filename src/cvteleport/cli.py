@@ -311,12 +311,10 @@ def _text_rows(texts: Iterable[str]):
 def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[float]):
     """The sweep CSV as ASCII bytes: the header, then one piece per chunk of rows.
 
-    A chunk is laid out as one NUL-padded byte matrix, a row per grid point;
-    deleting its NULs leaves the chunk's lines.  Each criterion has a slot, a
-    comma and the text ``_shortest.reprs`` writes there, the bytes of
-    ``repr``: once per distinct column of the chunk, into the first slots,
-    then copied to the columns with the same float64 bits (bits, not ==, so
-    that -0.0 and 0.0 keep their own text).
+    A chunk's lines are joined column by column as one NUL-padded byte matrix,
+    whose NULs are then deleted.  A criterion is a comma and the ``repr`` bytes
+    from ``_shortest.reprs``, formatted once per distinct column of the chunk
+    (distinct float64 bits, not ==, so that -0.0 and 0.0 keep their own text).
     """
     import numpy as np
 
@@ -325,30 +323,20 @@ def _sweep_text(table, regions, lambda_grid: list[float], resource_grid: list[fl
     gain_text = _text_rows(map(repr, lambda_grid))  # the grids hold floats
     resource_text = _text_rows(f",{resource!r}" for resource in resource_grid)
     region_text = _text_rows(f",{region.value}\n" for region in _REGIONS)
-    lead, tail = gain_text.shape[1] + resource_text.shape[1], region_text.shape[1]
     yield f"{SWEEP_HEADER}\n".encode()
     for start in range(0, len(regions), _SWEEP_CHUNK):
         values = table[:, start : start + _SWEEP_CHUNK]
-        (count, rows), point = values.shape, np.arange(start, start + values.shape[1])
+        gain, resource = np.divmod(np.arange(start, start + values.shape[1]), len(resource_grid))
         columns = [column.tobytes() for column in values.view(np.uint64)]
-        first = [columns.index(column) for column in columns]  # the first with each one's bits
-        distinct = sorted(set(first))
-
-        def frame(width):  # the chunk's lines; the texts go to the first slots
-            lines = np.zeros((rows, lead + count * (width + 1) + tail), np.uint8)
-            return lines[:, lead:-tail].reshape(rows, count, -1)[:, : len(distinct), 1:]
-
-        lines = reprs(values[distinct].T, frame).base
-        slots = lines[:, lead:-tail].reshape(rows, count, -1)
-        for k in reversed(range(count)):  # texts move right: a slot is read before it is written
-            if (slot := distinct.index(first[k])) != k:
-                slots[:, k] = slots[:, slot]
-        slots[..., 0] = ord(",")
-        lines[:, : gain_text.shape[1]] = gain_text.take(point // len(resource_grid), axis=0)
-        lines[:, gain_text.shape[1] : lead] = resource_text.take(point % len(resource_grid), axis=0)
-        lines[:, -tail:] = region_text.take(regions[start : start + rows], axis=0)
-        yield lines.tobytes().translate(None, b"\0")
-        del lines, slots  # so that one chunk's matrix is alive at a time
+        first = {bits: columns.index(bits) for bits in columns}  # the first with each one's bits
+        texts = dict(zip(first, reprs(values[list(first.values())])))
+        comma = np.full((gain.size, 1), ord(","), np.uint8)
+        pieces = [gain_text.take(gain, axis=0), resource_text.take(resource, axis=0)]
+        for bits in columns:
+            pieces += (comma, texts[bits])
+        pieces.append(region_text.take(regions[start : start + _SWEEP_CHUNK], axis=0))
+        yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
+        del texts, pieces  # so that one chunk's matrices are alive at a time
 
 
 def _cmd_sweep(config: dict[str, Any], args: argparse.Namespace) -> int:

@@ -209,7 +209,12 @@ def _accumulate(
 
     # fsum of the per-block sums is exactly rounded, hence independent of
     # both the order of the blocks and the worker count.
-    totals = [math.fsum(blk[i] for blk in blocks) for i in range(10)]
+    totals = []
+    for i in range(10):
+        try:
+            totals.append(math.fsum(blk[i] for blk in blocks))
+        except OverflowError:  # finite block sums whose total is not: refused below
+            totals.append(math.nan)
     n = n_shots
     quads = []
     for quad, (s1_in, s2_in, s1_out, s2_out, s11) in zip("+-", (totals[:5], totals[5:])):

@@ -55,7 +55,7 @@ def symmetric_output_variance(v_cvf: float, gain: float, v_in: float) -> float:
         raise ValueError(f"v_cvf must be nonnegative, got {v_cvf}")
     if not v_in > 0:
         raise ValueError(f"input variance must be > 0, got {v_in}")
-    v_out = v_cvf + gain * gain * v_in
+    v_out = v_cvf + gain * (gain * v_in)
     if not math.isfinite(v_out):
         raise ValueError(f"output variance undefined: it is {v_out} at gain {gain}, v_in {v_in}")
     return v_out

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -29,6 +30,7 @@ from cvteleport import (
     make_epr,
     make_single_mode,
 )
+from cvteleport import _shortest
 from cvteleport.criteria import _REGIONS
 from cvteleport.montecarlo import Estimate, _estimates
 
@@ -507,6 +509,48 @@ class TestSweepText:
         resource_grid = np.geomspace(1e-300, 1.0, 64).tolist()
         text = b"".join(cli._sweep_text(table, regions, lambda_grid, resource_grid))
         assert text == reference_sweep_text(table, regions, lambda_grid, resource_grid).encode()
+
+    @staticmethod
+    def memory_sweep(chunks):
+        """The tracemalloc peak of writing ``chunks`` chunks of 17-digit values, and piece sizes."""
+        rng = np.random.default_rng(10)
+        shape = (len(cli.CRITERIA), chunks * cli._SWEEP_CHUNK)
+        table = -rng.uniform(1.0, 9.0, shape) * 10.0 ** rng.integers(-300, -100, shape)
+        regions = np.arange(shape[1]) % 3
+        lambda_grid = np.linspace(-2.0, 2.0, 16 * chunks).tolist()
+        resource_grid = (-np.geomspace(1e-300, 1e-200, cli._SWEEP_CHUNK // 16)).tolist()
+        text = cli._sweep_text(table, regions, lambda_grid, resource_grid)
+        tracemalloc.start()
+        try:  # map drops each piece before it asks for the next, as _emit does
+            sizes = list(map(len, text))
+            return tracemalloc.get_traced_memory()[1], sizes
+        finally:
+            tracemalloc.stop()
+
+    def held_chunk_bound(self):
+        """One chunk's peak plus a quarter of its lines' bytes, fixed before 10 chunks are run."""
+        assert cli._SWEEP_CHUNK == 2048
+        self.memory_sweep(1)  # the formatter's tables are built on first use
+        peak, (_, lines) = self.memory_sweep(1)
+        return peak + lines // 4
+
+    def test_holds_one_chunk_at_a_time(self):
+        bound = self.held_chunk_bound()
+        peak, sizes = self.memory_sweep(10)
+        assert len(sizes) == 11
+        assert peak <= bound
+
+    def test_keeping_the_previous_chunk_fails_the_bound(self):
+        # Each chunk's texts, and so its pieces, kept alive until the next chunk's are built
+        bound, kept, reprs = self.held_chunk_bound(), [], _shortest.reprs
+
+        def keep(x):
+            kept[:] = kept[-1:] + [reprs(x)]
+            return kept[-1]
+
+        with mock.patch.object(_shortest, "reprs", keep):
+            peak, _ = self.memory_sweep(10)
+        assert peak > bound
 
 
 # Runs in a fresh interpreter: argv[1] is a sweep config, argv[2] an output path.
@@ -1101,6 +1145,18 @@ class TestNonFiniteValues:
         result = run_cli("mc", "--family", "epr", *args, "--workers", workers)
         assert result.returncode == 1
         assert result.stderr == "error: the sampled moments of quadrature + leave the float range\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("quad", ["+", "-"])
+    def test_mc_block_sums_that_overflow_only_in_total_print_only_the_error(self, quad, workers):
+        # Three blocks whose sums of x_in**2 are finite, their total is not
+        flag = "--vin-plus" if quad == "+" else "--vin-minus"
+        args = ("--lambda", "1", "--resource", "0.5", flag, "2e303", "--shots", "140000")
+        result = run_cli("mc", "--family", "epr", *args, "--seed", "1", "--workers", workers)
+        assert result.returncode == 1
+        message = f"the sampled moments of quadrature {quad} leave the float range"
+        assert result.stderr == f"error: {message}\n"
         assert result.stdout == ""
 
 

@@ -582,6 +582,24 @@ class TestValidation:
             PERFECT, SIGNALS, n_shots, 3
         )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sampler", [sample_criteria, sample_signal_transfer])
+    @pytest.mark.parametrize("quad", ["+", "-"])
+    def test_block_sums_that_overflow_only_in_total(self, quad, sampler, workers):
+        # 140 000 shots are three blocks.  Each block's sum of x_in**2 is finite
+        # (about 1.3e308 for a full one), the total of the three is not.
+        teleporter, n_shots = make_epr(1.0, 0.5), 140_000
+        variances = (2e303, 1.0) if quad == "+" else (1.0, 2e303)
+        state = InputState(*variances, s_plus=1.0, s_minus=1.0)
+        work = np.empty((3, montecarlo.SUM_RUN))
+        for start in range(0, n_shots, montecarlo.BLOCK_SHOTS):
+            bounds = (start, min(start + montecarlo.BLOCK_SHOTS, n_shots))
+            sums = montecarlo._block_sums(teleporter, state, 1, bounds, work)
+            assert all(map(math.isfinite, sums))
+        with pytest.raises(ValueError) as info:
+            sampler(teleporter, state, n_shots, 1, workers)
+        assert str(info.value) == f"the sampled moments of quadrature {quad} leave the float range"
+
 
 class TestSignalTransferSampling:
     def test_identity_ratio_near_one(self):

@@ -1,6 +1,7 @@
 """Tests for squeezing survival, Bell correlations, and optimal gain."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from scipy.optimize import minimize_scalar
@@ -208,6 +209,13 @@ class TestOptimalGain:
 class TestSymmetricOutputVariance:
     def test_worked_point(self):
         assert symmetric_output_variance(0.5, 1.0, 0.3) == pytest.approx(0.8, abs=1e-12)
+
+    def test_tiny_gain_on_huge_input_is_exact(self):
+        # gain * gain is a subnormal here and loses digits; gain * (gain * v_in) does not
+        gain, v_in = 1e-160, 1e308
+        exact = float(Fraction(gain) ** 2 * Fraction(v_in))
+        assert exact == 1e-12
+        assert symmetric_output_variance(0.0, gain, v_in) == exact
 
     def test_never_squeezed_at_or_above_unit_v_cvf(self):
         for v_cvf in (1.0, 1.3, 2.0):
