@@ -289,13 +289,15 @@ def classical_bound_check(teleporter: Teleporter) -> ClassicalBoundCheck:
     including a gain whose square underflows, and whenever the product is
     not finite.
     """
-    gp2 = teleporter.plus.gain * teleporter.plus.gain
-    gm2 = teleporter.minus.gain * teleporter.minus.gain
+    gp, gm = teleporter.plus.gain, teleporter.minus.gain
+    gp2, gm2 = gp * gp, gm * gm
     if gp2 == 0.0 or gm2 == 0.0:
         raise ValueError("classical bound undefined for zero gain (or an underflowing gain**2)")
-    product = (added_noise_variance(teleporter.plus) / gp2) * (
-        added_noise_variance(teleporter.minus) / gm2
-    )
+    n_p, n_m = added_noise_variance(teleporter.plus), added_noise_variance(teleporter.minus)
+    # A subnormal gain**2 has lost digits: divide by the gain twice there.
+    f_p = n_p / gp2 if gp2 >= _MIN_NORMAL else n_p / gp / gp
+    f_m = n_m / gm2 if gm2 >= _MIN_NORMAL else n_m / gm / gm
+    product = f_p * f_m
     if not math.isfinite(product):
         raise ValueError(f"classical bound undefined: the noise product is {product}")
     return ClassicalBoundCheck(product=product, satisfied=product >= 1.0 - BOUNDARY_TOL)

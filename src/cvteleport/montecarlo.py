@@ -8,10 +8,10 @@ the least-squares gain g, the input variance V_in and the residual variance N
 kernel, ``criteria._point``; their sampling errors are uncorrelated to first
 order, so each delta-method standard error is a root sum of non-negative
 terms.  The estimates are an independent statistical check of the closed
-forms.  Each worker samples a block one summation run (SUM_RUN shots) at a
-time, into one work array of three SUM_RUN-element rows that it allocates
-once and reuses.  numpy, hashlib and the thread pool are imported by the
-functions that use them, so importing this module does not load numpy.
+forms.  A block is sampled one summation run (SUM_RUN shots) at a time,
+into a window of three SUM_RUN-element rows that the block allocates.
+numpy, hashlib and the thread pool are imported by the functions that use
+them, so importing this module does not load numpy.
 
 Determinism contract
 --------------------
@@ -130,11 +130,10 @@ def _block_sums(
     state: InputState,
     seed: int,
     bounds: tuple[int, int],
-    work: np.ndarray,
 ) -> tuple[float, ...]:
     """The five moment sums of each quadrature over one block, sampled window by window.
 
-    Each window of ``work`` (shape (3, >= min(SUM_RUN, block length))) is one
+    Each window of the block's (3, min(SUM_RUN, block length)) array is one
     SUM_RUN-shot run of the block: rows 0 and 1 take its input and output
     records, row 2 each noise draw, and each row is one pairwise sum, added to
     the block's totals left to right (see the determinism contract).
@@ -142,11 +141,11 @@ def _block_sums(
     import numpy as np
 
     start, stop = bounds
-    block = start // BLOCK_SHOTS
+    work = np.empty((3, min(SUM_RUN, stop - start)))
+    maps, variances = (teleporter.plus, teleporter.minus), (state.v_plus, state.v_minus)
     sums: list[float] = []
-    for quad in ("+", "-"):
-        qmap, v_in, signal = teleporter.map_for(quad), state.variance(quad), state.signal(quad)
-        source, noise = _streams(qmap, quad, seed, block)
+    for quad, qmap, v_in, signal in zip("+-", maps, variances, (state.s_plus, state.s_minus)):
+        source, noise = _streams(qmap, quad, seed, start // BLOCK_SHOTS)
         root_v_in = math.sqrt(v_in)
         totals = [0.0] * 5
         for offset in range(start, stop, SUM_RUN):
@@ -189,12 +188,11 @@ def _accumulate(
     workers = min(workers, -(-n_shots // BLOCK_SHOTS))
 
     def sample(k: int) -> list[tuple[float, ...]]:
-        # Worker k takes every workers-th block from block k, into one reused work array.
-        work = np.empty((3, min(n_shots, SUM_RUN)))
-        # Records that overflow are refused below, with their quadrature named.
+        # Worker k takes every workers-th block from block k.  Records that
+        # overflow are refused below, with their quadrature named.
         with np.errstate(over="ignore", invalid="ignore"):
             return [
-                _block_sums(teleporter, state, seed, (i, min(i + BLOCK_SHOTS, n_shots)), work)
+                _block_sums(teleporter, state, seed, (i, min(i + BLOCK_SHOTS, n_shots)))
                 for i in range(k * BLOCK_SHOTS, n_shots, workers * BLOCK_SHOTS)
             ]
 
@@ -332,16 +330,17 @@ def sample_signal_transfer(
     if state.s_plus == 0.0 or state.s_minus == 0.0:
         raise ValueError("both test-signal amplitudes must be nonzero")
     moments = _accumulate(teleporter, state, n_shots, seed, workers)
+    params, errors = [], []
+    for mean, *quad in moments:  # the sample mean is independent of the (g, V_in, N) estimates
+        params += mean, *quad
+        errors += math.sqrt(_signal(*quad)[1] / n_shots), *_errors(*quad, n_shots)
 
-    estimates = []
-    for quad, (mean_out, *quad_params) in zip("+-", moments):
-        def ratio(p: Sequence[float], s: float = state.signal(quad)) -> tuple[float]:
-            # (mean_out**2 / V_out) / (s**2 / V_in); inf, refused, where V_out rounds to 0
-            mean, gain, v_in, noise = p
+    def ratios(p: Sequence[float]) -> list[float]:
+        # (mean_out**2 / V_out) / (s**2 / V_in); inf, refused, where V_out rounds to 0
+        values = []
+        for s, (mean, gain, v_in, noise) in zip((state.s_plus, state.s_minus), (p[:4], p[4:])):
             v_out = _signal(gain, v_in, noise)[1]
-            return ((mean / s) * (mean / s) * v_in / v_out if v_out else math.inf,)
+            values.append((mean / s) * (mean / s) * v_in / v_out if v_out else math.inf)
+        return values
 
-        # The sample mean is independent of the (g, V_in, N) estimates.
-        errors = (math.sqrt(_signal(*quad_params)[1] / n_shots), *_errors(*quad_params, n_shots))
-        estimates += _delta_method(ratio, (mean_out, *quad_params), errors)
-    return SignalTransferStats(n_shots, seed, *estimates)
+    return SignalTransferStats(n_shots, seed, *_delta_method(ratios, params, errors))

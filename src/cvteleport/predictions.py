@@ -81,8 +81,15 @@ def bell_s(params: BellParams) -> float:
     S = ((v_cvf - 1)/2 + gain**2 (s_i + 1/2)) / ((v_cvf - 1) + 2 gain**2),
     valid in the lossless limit.  Local realism requires S <= 1; with
     s_i = 1.5 the output violates it exactly when v_cvf < 1 (for any
-    nonzero gain with positive denominator).
+    nonzero gain with positive denominator).  A gain whose square is not a
+    normal float (0 < |gain| < 2**-511) takes the exact rational value,
+    rounded once.
     """
+    if 0.0 < abs(params.gain) < 2.0**-511:
+        from fractions import Fraction
+
+        d, g2 = Fraction(params.v_cvf) - 1, Fraction(params.gain) ** 2
+        return float((d / 2 + g2 * (Fraction(params.s_i) + Fraction(1, 2))) / (d + 2 * g2))
     denominator = (params.v_cvf - 1.0) + 2.0 * params.gain * params.gain
     if denominator == 0.0:
         raise ValueError(

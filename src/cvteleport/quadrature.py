@@ -135,12 +135,6 @@ class InputState:
         """True when v_plus * v_minus = 1 to within 1e-12."""
         return abs(self.v_plus * self.v_minus - 1.0) <= MIN_UNCERTAINTY_TOL
 
-    def variance(self, quadrature: str) -> float:
-        return self.v_plus if quadrature == "+" else self.v_minus
-
-    def signal(self, quadrature: str) -> float:
-        return self.s_plus if quadrature == "+" else self.s_minus
-
 
 def added_noise_variance(qmap: QuadratureMap) -> float:
     """Total added-noise variance N = sum of coefficient**2 * variance.

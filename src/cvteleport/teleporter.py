@@ -59,9 +59,6 @@ class Teleporter:
         """True when both quadratures see the same signal gain."""
         return self.plus.gain == self.minus.gain
 
-    def map_for(self, quadrature: str) -> QuadratureMap:
-        return self.plus if quadrature == "+" else self.minus
-
 
 # Variances of the two latent noise modes per quadrature of each resource
 # family, as functions of the resource parameter.  The modes enter with

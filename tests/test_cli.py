@@ -20,19 +20,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom, norm
 
 from cvteleport import (
     InputState,
+    NoiseTerm,
+    QuadratureMap,
     added_noise_variance,
     classify,
     cli,
     make_classical_measure_resend,
+    make_custom,
     make_epr,
     make_single_mode,
 )
 from cvteleport import _shortest
 from cvteleport.criteria import _REGIONS
-from cvteleport.montecarlo import Estimate, _estimates
+from cvteleport.montecarlo import QUANTITIES, Estimate, _estimates
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SWEEP_HEADER = "lambda,resource,ts_plus,ts_minus,t_t,vcv_plus,vcv_minus,v_t,c_f,v_cvf,region"
@@ -45,6 +49,14 @@ def corrupted_estimates(quads, n_shots, shift=0.1):
     """
     analytic = _estimates(quads, n_shots)
     analytic[0] = Estimate(analytic[0].value + shift, analytic[0].std_error)
+    return analytic
+
+
+def shifted_estimates(quads, n_shots, row, k):
+    """The mc gate's analytic values with row ``row`` ``k`` of its errors too high."""
+    analytic = _estimates(quads, n_shots)
+    value, error = analytic[row].value, analytic[row].std_error
+    analytic[row] = Estimate(value + k * error, error)
     return analytic
 
 
@@ -715,6 +727,56 @@ class TestMc:
         out = tmp_path / "table.csv"
         third = run_cli(*args, "--out", str(out))
         assert out.read_text() == third.stdout
+
+
+# The calibration test's points (tests/test_montecarlo.py::TestCalibration) as
+# mc arguments.  mc builds no custom teleporter, so for that point the family
+# flags only pass the parser and a patched ``cli._teleporter`` returns the map.
+POWER_CUSTOM = make_custom(
+    QuadratureMap(0.7, (NoiseTerm("a", 1.0, 0.6),)),
+    QuadratureMap(1.3, (NoiseTerm("b", 1.0, 1.8),)),
+)
+POWER_POINTS = {
+    "epr": ["--family=epr", "--lambda=1", "--resource=0.5"],
+    "single_mode": [
+        *("--family=single_mode", "--lambda=0.8", "--resource=0.4"),
+        *("--vin-plus=0.3", f"--vin-minus={1 / 0.3!r}"),
+    ],
+    "custom": ["--family=classical", "--lambda=1", "--vin-plus=2", "--vin-minus=0.5"],
+}
+# A calibrated row shifted by K = 8 of its errors has z ~ |N(8, 1)|, which the
+# 5-sigma gate flags with p = P(|N(8, 1)| > 5) = 0.99865.  Over seeds 0-19 the
+# flagged count is Binomial(20, p).  One level serves all 36 rows (three
+# points, 12 rows), a family-wise 1 % split evenly, 0.01 / 36 = 2.8e-4: the
+# least count whose lower tail reaches it is 18 (P(count <= 17) = 2.8e-6,
+# P(count <= 18) = 3.4e-4), so each row must be flagged on at least 18 seeds.
+POWER_SHIFT = 8
+POWER_SEEDS = range(20)
+POWER_LEVEL = 0.01 / 36
+
+
+class TestMcPower:
+    @pytest.mark.parametrize("point", POWER_POINTS)
+    def test_gate_flags_a_row_shifted_by_eight_errors(self, point, capsys):
+        p = norm.sf(5 - POWER_SHIFT) + norm.cdf(-5 - POWER_SHIFT)
+        least = binom.ppf(POWER_LEVEL, len(POWER_SEEDS), p)
+        assert least == 18
+        custom = point == "custom"
+        teleporter = mock.patch.object(cli, "_teleporter", lambda *args: POWER_CUSTOM)
+        flagged = []
+        for row in range(len(QUANTITIES)):
+            estimates = functools.partial(shifted_estimates, row=row, k=POWER_SHIFT)
+            count = 0
+            for seed in POWER_SEEDS:
+                argv = ["mc", *POWER_POINTS[point], "--shots=2000", f"--seed={seed}"]
+                with mock.patch.object(cli, "_estimates", estimates):
+                    with teleporter if custom else contextlib.nullcontext():
+                        code = cli.main(argv)
+                status = capsys.readouterr().out.splitlines()[1 + row].rsplit(",", 1)[1]
+                assert code == 2 or status == "PASS"
+                count += status == "FAIL"
+            flagged.append(count)
+        assert all(count >= least for count in flagged), flagged
 
 
 class TestMcWorkers:

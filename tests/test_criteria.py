@@ -264,6 +264,32 @@ class TestClassicalBoundCheck:
         with pytest.raises(ValueError, match="classical bound undefined"):
             classical_bound_check(make_epr(gain, 0.5))
 
+    @pytest.mark.parametrize("gain,noise", [(1e-160, 1e-300), (1e-155, 1e-290)])
+    def test_subnormal_gain_squared_is_exact(self, gain, noise):
+        # gain**2 is subnormal but not 0: 1e-320 and 1e-310.  Dividing N by
+        # it rounded the factors to 1.0000111e20 (the product 1.0000223e40).
+        teleporter = make_custom(
+            QuadratureMap(gain, (NoiseTerm("a", 1.0, noise),)),
+            QuadratureMap(-gain, (NoiseTerm("b", 1.0, noise),)),
+        )
+        factor = Fraction(added_noise_variance(teleporter.plus)) / Fraction(gain) ** 2
+        exact = float(factor * factor)
+        product = classical_bound_check(teleporter).product
+        assert abs(product - exact) <= 4 * math.ulp(exact), (product, exact)
+
+    @pytest.mark.parametrize(
+        "gain,noise", [(2.0**-511, 1e-300), (-(2.0**-511), 3e-290), (1e-150, 1e-290), (0.8, 0.6)]
+    )
+    def test_normal_gain_squared_divides_once(self, gain, noise):
+        # The bit-for-bit result of one division by gain**2 per factor.
+        teleporter = make_custom(
+            QuadratureMap(gain, (NoiseTerm("a", 1.0, noise),)),
+            QuadratureMap(gain, (NoiseTerm("b", 1.0, 2 * noise),)),
+        )
+        n_p, n_m = added_noise_variance(teleporter.plus), added_noise_variance(teleporter.minus)
+        product = classical_bound_check(teleporter).product
+        assert product == (n_p / (gain * gain)) * (n_m / (gain * gain))
+
 
 class TestClassify:
     def test_classical_region(self):

@@ -218,10 +218,12 @@ class TestDeterminism:
             ):
                 block, length = start // montecarlo.BLOCK_SHOTS, stop - start
                 replica = []
-                for quad in "+-":
-                    qm = teleporter.map_for(quad)
+                for quad, qm, v_in, signal in (
+                    ("+", teleporter.plus, state.v_plus, state.s_plus),
+                    ("-", teleporter.minus, state.v_minus, state.s_minus),
+                ):
                     x_in = montecarlo._stream(seed, "input", quad, block).standard_normal(length)
-                    x_in = x_in * math.sqrt(state.variance(quad)) + state.signal(quad)
+                    x_in = x_in * math.sqrt(v_in) + signal
                     x_out = qm.gain * x_in
                     for term in sorted(qm.noise, key=lambda t: t.mode_id):
                         stream = montecarlo._stream(seed, "noise", term.mode_id, block)
@@ -229,8 +231,7 @@ class TestDeterminism:
                         x_out = x_out + stream.standard_normal(length) * scale
                     for record in (x_in, x_in * x_in, x_out, x_out * x_out, x_in * x_out):
                         replica.append(replica_block_sum(record.tolist()))
-                work = np.empty((3, montecarlo.SUM_RUN))
-                sums = montecarlo._block_sums(teleporter, state, seed, (start, stop), work)
+                sums = montecarlo._block_sums(teleporter, state, seed, (start, stop))
                 assert sums == tuple(replica), (teleporter, state, start, stop)
 
     # SHA-256 of the first block of the mc golden's "+" input stream (seed 42),
@@ -260,8 +261,9 @@ class TestDeterminism:
         [(0, montecarlo.BLOCK_SHOTS), (montecarlo.BLOCK_SHOTS, montecarlo.BLOCK_SHOTS + 777)],
     )
     def test_work_array_gives_the_bits_of_fresh_arrays(self, use_signals, n_terms, bounds):
-        # A full block and a partial last block; the NaN fill shows any read
-        # of a work-array entry that the block did not write first.
+        # A full block and a partial last block; the NaN fill of every float
+        # array that numpy.empty returns shows any read of a window entry
+        # that the block did not write first.
         def qmap(gain, tag):
             terms = tuple(
                 NoiseTerm(f"{tag}{i}", 0.3 * (i + 1) - 0.7, 0.5 + i) for i in range(n_terms)
@@ -270,10 +272,17 @@ class TestDeterminism:
 
         teleporter = make_custom(qmap(0.9, "p"), qmap(-1.3, "m"))
         state = InputState(0.7, 1.6, 0.05, -0.08) if use_signals else InputState(0.7, 1.6)
-        work = np.full((3, montecarlo.BLOCK_SHOTS), np.nan)
-        fresh = np.empty((3, bounds[1] - bounds[0]))
-        reused = montecarlo._block_sums(teleporter, state, 11, bounds, work)
-        assert reused == montecarlo._block_sums(teleporter, state, 11, bounds, fresh)
+        empty = np.empty
+
+        def stale(*args, **kwargs):
+            array = empty(*args, **kwargs)
+            if array.dtype.kind == "f":
+                array.fill(np.nan)
+            return array
+
+        with mock.patch.object(np, "empty", stale):
+            reused = montecarlo._block_sums(teleporter, state, 11, bounds)
+        assert reused == montecarlo._block_sums(teleporter, state, 11, bounds)
 
     @pytest.mark.parametrize("workers", [2, 3, 4, 1000])
     def test_worker_count_never_changes_either_sampler(self, workers):
@@ -291,7 +300,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_is_one_work_array_per_worker(self, workers):
         # Counted by tracemalloc, which repeats exactly: each worker holds
-        # one (3, BLOCK_SHOTS) work array, and a block allocates no records.
+        # one block's (3, SUM_RUN) window at a time, and no whole records.
         teleporter, state, n_shots = make_epr(1.0, 0.5), VACUUM, 4 * montecarlo.BLOCK_SHOTS
         sample_criteria(teleporter, state, 1000, 1, workers)  # one-time imports and caches
         tracemalloc.start()
@@ -305,7 +314,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_is_one_summation_run_per_worker(self, workers):
         # Each worker samples a block one SUM_RUN-shot window at a time, into
-        # a (3, SUM_RUN) work array.
+        # a (3, SUM_RUN) array that the block allocates.
         teleporter, state, n_shots = make_epr(1.0, 0.5), VACUUM, 4 * montecarlo.BLOCK_SHOTS
         sample_criteria(teleporter, state, n_shots, 1, workers)  # one-time imports and caches
         tracemalloc.start()
@@ -379,32 +388,39 @@ class TestAgreementWithAnalytic:
             assert ratio == pytest.approx(2.0, rel=0.2), name
 
 
-# The gate's z = (estimate - analytic) / error over seeds 0-399 at 2000 shots.
-# A calibrated error makes z standard normal, so 399 s**2 follows chi2(399)
-# and the mean N(0, 1/400).  One two-sided level serves all 72 checks (three
-# teleporters, 12 quantities, spread and mean): a family-wise 1 % split
-# evenly, 0.01 / 72.  The bands it gives: s in [0.867, 1.137], |mean| <= 0.191.
-CALIBRATION_LEVEL = 0.01 / 72
+# The gate's z = (estimate - analytic) / error over seeds 0-399 at 2000 shots,
+# and the signal route's z = (ts_hat - signal_transfer) / std_error of both
+# quadratures over the same seeds.  A calibrated error makes z standard
+# normal, so 399 s**2 follows chi2(399) and the mean N(0, 1/400).  One
+# two-sided level serves all 84 checks (three teleporters; 12 gate quantities
+# and two signal-route quadratures; spread and mean): a family-wise 1 % split
+# evenly, 0.01 / 84.  The bands it gives: s in [0.866, 1.138], |mean| <= 0.192.
+CALIBRATION_LEVEL = 0.01 / 84
 CALIBRATION_SEEDS = 400
 CALIBRATION_SHOTS = 2000
+CALIBRATION_CASES = [
+    (make_epr(1.0, 0.5), VACUUM),
+    (make_single_mode(0.8, 0.4), InputState(0.3, 1 / 0.3)),
+    (
+        make_custom(
+            QuadratureMap(0.7, (NoiseTerm("a", 1.0, 0.6),)),
+            QuadratureMap(1.3, (NoiseTerm("b", 1.0, 1.8),)),
+        ),
+        InputState(2.0, 0.5),
+    ),
+]
+CALIBRATION_IDS = ["epr", "single_mode", "custom"]
+# The signal route's test signals are 0.1 sqrt(V_in), the small-signal limit of
+# sample_signal_transfer.  Its z is near normal only while the output mean g s
+# sits far from zero: mean / error = 0.1 sqrt(n T_s), which sets n per
+# teleporter to make that 10 on its lower T_s (epr 20 000, single_mode 70 886,
+# custom 31 302 shots).
+SIGNAL_FRACTION = 0.1
+SIGNAL_MEAN_SIGMAS = 10
 
 
 class TestCalibration:
-    @pytest.mark.parametrize(
-        "teleporter,state",
-        [
-            (make_epr(1.0, 0.5), VACUUM),
-            (make_single_mode(0.8, 0.4), InputState(0.3, 1 / 0.3)),
-            (
-                make_custom(
-                    QuadratureMap(0.7, (NoiseTerm("a", 1.0, 0.6),)),
-                    QuadratureMap(1.3, (NoiseTerm("b", 1.0, 1.8),)),
-                ),
-                InputState(2.0, 0.5),
-            ),
-        ],
-        ids=["epr", "single_mode", "custom"],
-    )
+    @pytest.mark.parametrize("teleporter,state", CALIBRATION_CASES, ids=CALIBRATION_IDS)
     def test_gate_z_is_standard_normal_in_spread_and_mean(self, teleporter, state):
         n = CALIBRATION_SEEDS
         analytic = montecarlo._estimates(_quads(teleporter, state), CALIBRATION_SHOTS)
@@ -421,6 +437,32 @@ class TestCalibration:
         outside = [
             (name, s, m)
             for name, s, m in zip(montecarlo.QUANTITIES, spread, mean)
+            if not (low <= s <= high and abs(m) <= mean_bound)
+        ]
+        assert not outside, (low, high, mean_bound)
+
+    @pytest.mark.parametrize("teleporter,state", CALIBRATION_CASES, ids=CALIBRATION_IDS)
+    def test_signal_route_z_is_standard_normal_in_spread_and_mean(self, teleporter, state):
+        n = CALIBRATION_SEEDS
+        expected = [
+            signal_transfer(teleporter.plus, state.v_plus),
+            signal_transfer(teleporter.minus, state.v_minus),
+        ]
+        shots = math.ceil((SIGNAL_MEAN_SIGMAS / SIGNAL_FRACTION) ** 2 / min(expected))
+        signals = [SIGNAL_FRACTION * math.sqrt(v) for v in (state.v_plus, state.v_minus)]
+        state = InputState(state.v_plus, state.v_minus, *signals)
+        z = np.empty((n, 2))
+        for seed in range(n):
+            stats = sample_signal_transfer(teleporter, state, shots, seed)
+            estimates = (stats.ts_plus_hat, stats.ts_minus_hat)
+            z[seed] = [(e.value - ts) / e.std_error for e, ts in zip(estimates, expected)]
+        levels = [CALIBRATION_LEVEL / 2, 1 - CALIBRATION_LEVEL / 2]
+        low, high = np.sqrt(chi2.ppf(levels, n - 1) / (n - 1))
+        mean_bound = norm.ppf(levels[1]) / math.sqrt(n)
+        spread, mean = z.std(axis=0, ddof=1), z.mean(axis=0)
+        outside = [
+            (name, s, m)
+            for name, s, m in zip(("ts_plus_hat", "ts_minus_hat"), spread, mean)
             if not (low <= s <= high and abs(m) <= mean_bound)
         ]
         assert not outside, (low, high, mean_bound)
@@ -591,10 +633,9 @@ class TestValidation:
         teleporter, n_shots = make_epr(1.0, 0.5), 140_000
         variances = (2e303, 1.0) if quad == "+" else (1.0, 2e303)
         state = InputState(*variances, s_plus=1.0, s_minus=1.0)
-        work = np.empty((3, montecarlo.SUM_RUN))
         for start in range(0, n_shots, montecarlo.BLOCK_SHOTS):
             bounds = (start, min(start + montecarlo.BLOCK_SHOTS, n_shots))
-            sums = montecarlo._block_sums(teleporter, state, 1, bounds, work)
+            sums = montecarlo._block_sums(teleporter, state, 1, bounds)
             assert all(map(math.isfinite, sums))
         with pytest.raises(ValueError) as info:
             sampler(teleporter, state, n_shots, 1, workers)

@@ -143,6 +143,35 @@ class TestBellS:
         with pytest.raises(ValueError, match="must be finite"):
             BellParams(**{"s_i": 1.5, "gain": 1.0, "v_cvf": 0.5, field: value})
 
+    @pytest.mark.parametrize(
+        "s_i,gain,v_cvf",
+        [
+            (0.3, 1e-160, 1.0),  # was 0.3999505928853755
+            (1.2, 3e-161, 1.0),  # was 0.8489010989010989
+            (1.5, 1e-170, 1.0),  # gain**2 underflows to 0
+            (-2.0, -5e-324, 1.0),
+            (1.5, 1e-160, 1.0 - 2.0**-53),
+            (0.9, -2e-155, 1.5),
+            (1.5, 1e-170, 1e300),
+        ],
+    )
+    def test_subnormal_gain_squared_is_exact(self, s_i, gain, v_cvf):
+        d, g2 = Fraction(v_cvf) - 1, Fraction(gain) ** 2
+        exact = float((d / 2 + g2 * (Fraction(s_i) + Fraction(1, 2))) / (d + 2 * g2))
+        s = bell_s(BellParams(s_i=s_i, gain=gain, v_cvf=v_cvf))
+        assert abs(s - exact) <= math.ulp(exact), (s, exact)
+
+    def test_exact_at_unit_v_cvf_is_the_mean_of_s_i_and_one_half(self):
+        assert bell_s(BellParams(s_i=0.3, gain=1e-160, v_cvf=1.0)) == 0.4
+        assert bell_s(BellParams(s_i=1.2, gain=3e-161, v_cvf=1.0)) == 0.85
+
+    @pytest.mark.parametrize("gain", [2.0**-511, -(2.0**-511), 1e-150, 0.7])
+    @pytest.mark.parametrize("v_cvf", [0.5, 1.0, 3.0])
+    def test_normal_gain_squared_keeps_the_float_formula(self, gain, v_cvf):
+        numerator = 0.5 * (v_cvf - 1.0) + gain * gain * (1.2 + 0.5)
+        denominator = (v_cvf - 1.0) + 2.0 * gain * gain
+        assert bell_s(BellParams(s_i=1.2, gain=gain, v_cvf=v_cvf)) == numerator / denominator
+
     def test_rejects_overflowing_gain(self):
         # gain**2 overflows, so numerator and denominator are both inf
         with pytest.raises(ValueError, match="Bell correlation undefined"):
