@@ -121,6 +121,8 @@ def _make(family: Family, gain: float, resource: float | None) -> Teleporter:
         else:
             resource = None
         (c_first, v_first), (c_second, v_second) = _noise_terms(family, gain, resource)
+        if not (math.isfinite(v_first) and math.isfinite(v_second)):  # 1/resource overflows
+            raise ValueError(f"added noise undefined: the noise of {name} {resource} overflows")
         first_p, second_p, first_m, second_m = _MODE_IDS[family]
         plus = (NoiseTerm(first_p, c_first, v_first), NoiseTerm(second_p, c_second, v_second))
         minus = (NoiseTerm(first_m, c_first, v_first), NoiseTerm(second_m, c_second, v_second))

@@ -376,7 +376,7 @@ class TestArraySweep:
                 (0.0, 2.0, 21),
                 (1e-310, 1.0, 10),
                 1.0,
-                "noise term coefficient and variance must be finite",
+                "added noise undefined: the noise of v_ent 1e-310 overflows",
             ),
             # (1 - gain)**2 / (2 v_ent) overflows at gain -2 and v_ent 1e-308
             ((-2.0, 2.0, 21), (1e-308, 1.0, 10), 1.5e308, OVERFLOWING_NOISE),

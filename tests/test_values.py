@@ -41,6 +41,7 @@ from cvteleport import (
     t_total,
     v_total,
 )
+from cvteleport.criteria import CRITERIA
 from cvteleport.montecarlo import QUANTITIES
 
 VACUUM = InputState(1.0, 1.0)
@@ -62,6 +63,11 @@ def input_state():
 
 def criteria_report():
     return classify(make_epr(1.0, 0.5), VACUUM)
+
+
+def asymmetric_report():
+    """A report whose two quadratures transfer different signal shares."""
+    return classify(make_single_mode(0.8, 0.4), InputState(0.3, 1 / 0.3))
 
 
 # One instance of every public value type, built twice to compare.
@@ -110,10 +116,7 @@ class TestEveryValueType:
 
 
 MISSING = dataclasses.MISSING
-REPORT_FLOATS = (
-    "ts_plus", "ts_minus", "t_t", "c_plus", "c_minus",
-    "vcv_plus", "vcv_minus", "v_t", "c_f", "v_cvf",
-)
+REPORT_FLOATS = ("ts_plus", "ts_minus", "t_t", "vcv_plus", "vcv_minus", "v_t", "c_f", "v_cvf")
 
 
 class TestFieldsAndRepr:
@@ -193,7 +196,7 @@ class TestFieldsAndRepr:
             "family=<Family.SINGLE_MODE: 'single_mode'>, gain=0.5, resource=0.25)"
         )
         assert repr(criteria_report()) == (
-            "CriteriaReport(ts_plus=0.5, ts_minus=0.5, t_t=1.0, c_plus=0.5, c_minus=0.5, "
+            "CriteriaReport(ts_plus=0.5, ts_minus=0.5, t_t=1.0, "
             "vcv_plus=1.0000000000000002, vcv_minus=1.0000000000000002, v_t=1.0000000000000002, "
             "c_f=0.5, v_cvf=1.0000000000000002, region=<Region.INTERMEDIATE: 'Intermediate'>, "
             "both_violated=False, input_minimum_uncertainty=True)"
@@ -239,6 +242,35 @@ class TestFieldsAndRepr:
             assert old[side].mode_ids == qmap.mode_ids
         loaded = make_custom(old["plus"], old["minus"])
         assert classify(loaded, VACUUM) == classify(fresh, VACUUM)
+
+    def test_report_fields_are_the_criteria_and_three_tags(self):
+        names = tuple(f.name for f in dataclasses.fields(CriteriaReport))
+        assert names == (*CRITERIA, "region", "both_violated", "input_minimum_uncertainty")
+
+    def test_c_plus_and_c_minus_read_the_signal_transfers(self):
+        report = asymmetric_report()
+        assert report.ts_plus != report.ts_minus
+        assert {"c_plus", "c_minus"}.isdisjoint(f.name for f in dataclasses.fields(report))
+        assert (report.c_plus, report.c_minus) == (report.ts_plus, report.ts_minus)
+        replaced = dataclasses.replace(report, ts_plus=0.25, ts_minus=0.75)
+        assert (replaced.c_plus, replaced.c_minus) == (0.25, 0.75)
+        for name in ("c_plus", "c_minus"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, 0.5)
+
+    def test_pickle_with_the_former_c_fields_loads_an_equal_report(self):
+        # Reports pickled while c_plus and c_minus were fields hold them in their
+        # state, after t_t; loading one gives a report equal to a fresh one.
+        fresh = asymmetric_report()
+        items = list(vars(fresh).items())
+        former = object.__new__(CriteriaReport)
+        former.__dict__.update(
+            items[:3] + [("c_plus", fresh.ts_plus), ("c_minus", fresh.ts_minus)] + items[3:]
+        )
+        loaded = pickle.loads(pickle.dumps(former))
+        assert loaded == fresh and repr(loaded) == repr(fresh) and hash(loaded) == hash(fresh)
+        assert dataclasses.asdict(loaded) == dataclasses.asdict(fresh)
+        assert (loaded.c_plus, loaded.c_minus) == (fresh.ts_plus, fresh.ts_minus)
 
 
 class TestReplaceValidates:
@@ -395,6 +427,14 @@ MESSAGES = [
     (
         lambda: optimal_gain(Family.CLASSICAL, 0.5),
         "optimal gain is defined for the epr and single_mode families, got Family.CLASSICAL",
+    ),
+    (
+        lambda: make_epr(1.0, 1e-310),
+        "added noise undefined: the noise of v_ent 1e-310 overflows",
+    ),
+    (
+        lambda: make_single_mode(0.5, 1e-310),
+        "added noise undefined: the noise of v_s 1e-310 overflows",
     ),
     (
         lambda: optimal_gain(Family.EPR, 5e-324),
@@ -635,3 +675,53 @@ def test_full_range_gives_finite_meaningful_values_or_value_error(name, data):
         return
     assert finite(result), result
     assert meaningful(result), result
+
+
+# The domain the samplers resolve at 100 shots: family gains in [-2, 2] with
+# resources in [0.01, 1], custom gains in [-10, 10] with one to three noise
+# terms of |coefficient| in [0.1, 10] and variance in [1e-3, 1e3], and input
+# variances in [1e-3, 1e3] carrying signals of +-0.1 sqrt(V_in).
+RESOLVED_VARIANCES = st.floats(min_value=1e-3, max_value=1e3)
+RESOLVED_TERMS = st.lists(
+    st.tuples(st.sampled_from((1.0, -1.0)), st.floats(min_value=0.1, max_value=10.0)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def resolved_map(data, quadrature):
+    terms = data.draw(RESOLVED_TERMS)
+    noise = tuple(
+        NoiseTerm(f"{quadrature}{i}", sign * size, data.draw(RESOLVED_VARIANCES))
+        for i, (sign, size) in enumerate(terms)
+    )
+    return QuadratureMap(data.draw(st.floats(min_value=-10.0, max_value=10.0)), noise)
+
+
+def resolved_teleporter(data):
+    family = data.draw(st.sampled_from(Family))
+    if family is Family.CUSTOM:
+        return make_custom(resolved_map(data, "p"), resolved_map(data, "m"))
+    gain = data.draw(st.floats(min_value=-2.0, max_value=2.0))
+    if family is Family.CLASSICAL:
+        return make_classical_measure_resend(gain)
+    make = make_epr if family is Family.EPR else make_single_mode
+    return make(gain, data.draw(st.floats(min_value=0.01, max_value=1.0)))
+
+
+def resolved_state(data):
+    v_plus, v_minus = data.draw(RESOLVED_VARIANCES), data.draw(RESOLVED_VARIANCES)
+    shares = data.draw(st.sampled_from((0.1, -0.1))), data.draw(st.sampled_from((0.1, -0.1)))
+    return InputState(v_plus, v_minus, shares[0] * math.sqrt(v_plus), shares[1] * math.sqrt(v_minus))
+
+
+@pytest.mark.parametrize("name", ["sample_criteria", "sample_signal_transfer"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_samplers_give_finite_meaningful_values_over_their_domain(name, data):
+    # Where the full-range contract above mostly reaches the samplers' refusals,
+    # every draw here must reach their results.
+    teleporter, state = resolved_teleporter(data), resolved_state(data)
+    result = getattr(cvteleport, name)(teleporter, state, 100, data.draw(st.integers(0, 2**32)))
+    assert finite(result), result
+    assert ENTRY_POINTS[name][1](result), result
